@@ -17,7 +17,7 @@ REPETITIONS = 2
 
 def run_harness_benchmark() -> dict:
     """One smoke-scale wire grid run; returns the benchmark document."""
-    return run_area("wire", repetitions=REPETITIONS, warmup=0, overrides=OVERRIDES, pairs=False)
+    return run_area("wire", repetitions=REPETITIONS, warmup=0, overrides=OVERRIDES)
 
 
 def test_harness_smoke(benchmark):

@@ -1,10 +1,11 @@
 """Wire throughput — the RKV1 server/client stack vs the in-process service.
 
 Serves a 2-shard `repro.service.KVService` on an ephemeral localhost port
-(`repro.net.ThreadedKVServer`) and drives the mixed GET/SET wire workload
-(`repro.net.loadgen`) the `repro client bench` CLI exposes, then runs the
-same-shaped workload in-process (`repro.service.workload`) as the baseline —
-the gap is the protocol + socket + event-loop cost per operation.
+(`repro.net.ThreadedKVServer`) and drives the mixed GET/SET workload the
+`repro client bench` CLI exposes through the one load driver
+(`repro.loadgen`), then hands the same driver the `KVService` itself as the
+in-process baseline — the gap is the protocol + socket + event-loop cost per
+operation.
 
 A pipelining-depth sweep (1 → 16 single-key frames per round trip) shows the
 per-request network overhead being amortised: deeper pipelines must not lose
@@ -15,8 +16,9 @@ substrate, the *shape* is the assertion, not absolute numbers.
 
 from repro.bench import render_table
 from repro.datasets import load_dataset
-from repro.net import ServerConfig, ThreadedKVServer, run_wire_workload
-from repro.service import KVService, ServiceConfig, run_mixed_workload
+from repro.loadgen import default_keys, mixed_operation, per_worker, preload, run_load
+from repro.net import KVClient, ServerConfig, ThreadedKVServer
+from repro.service import KVService, ServiceConfig
 
 #: Workload parameters (small: the substrate is pure Python).
 SHARDS = 2
@@ -28,9 +30,21 @@ CLIENTS = 2
 PIPELINE_DEPTHS = (1, 4, 16)
 
 
+def run_over_wire(server, keys, values, operations, clients, seed, batch=1,
+                  pipeline=False, preloaded=False):
+    """One closed-loop run against ``server``, one ``KVClient`` per worker."""
+    host, port = server.address
+    operation, calls = mixed_operation(keys, values, operations, GET_FRACTION, batch, pipeline)
+    with per_worker(lambda: KVClient(host, port, pool_size=1)) as connect:
+        if not preloaded:
+            preload(connect(), keys, values)
+        return run_load(connect, operation, calls, clients, seed=seed)
+
+
 def run_net_benchmark(dataset: str = "kv1") -> dict:
     """One end-to-end run; returns wire results, the sweep, and the baseline."""
     values = load_dataset(dataset, count=VALUES)
+    keys = default_keys(len(values))
     config = ServiceConfig(
         shard_count=SHARDS, backend="tierbase", compressor="pbc_f", cache_entries=256
     )
@@ -39,35 +53,28 @@ def run_net_benchmark(dataset: str = "kv1") -> dict:
     outcome: dict = {"sweep": []}
     try:
         with ThreadedKVServer(service, ServerConfig(port=0, max_inflight=64)) as server:
-            host, port = server.address
-            outcome["batched"] = run_wire_workload(
-                host, port, values,
-                operations=OPERATIONS, get_fraction=GET_FRACTION,
-                batch_size=BATCH_SIZE, clients=CLIENTS, seed=2023,
+            outcome["batched"] = run_over_wire(
+                server, keys, values, OPERATIONS, CLIENTS, seed=2023, batch=BATCH_SIZE
             )
             for depth in PIPELINE_DEPTHS:
                 outcome["sweep"].append(
-                    run_wire_workload(
-                        host, port, values,
-                        operations=OPERATIONS // 2, get_fraction=GET_FRACTION,
-                        clients=CLIENTS, pipeline_depth=depth, seed=31 + depth,
-                        preload=False,
+                    run_over_wire(
+                        server, keys, values, OPERATIONS // 2, CLIENTS, seed=31 + depth,
+                        batch=depth, pipeline=True, preloaded=True,
                     )
                 )
             outcome["snapshot"] = service.snapshot().validate()
     finally:
         service.close()
 
-    # In-process baseline: same shape, no socket.
-    baseline_service = KVService(config)
-    try:
-        outcome["baseline"] = run_mixed_workload(
-            baseline_service, values,
-            operations=OPERATIONS, get_fraction=GET_FRACTION,
-            batch_size=BATCH_SIZE, clients=CLIENTS, seed=2023,
+    # In-process baseline: the same operations (same seed), no socket.
+    operation, calls = mixed_operation(keys, values, OPERATIONS, GET_FRACTION, BATCH_SIZE)
+    with KVService(config) as baseline_service:
+        baseline_service.train(values[:256])
+        preload(baseline_service, keys, values)
+        outcome["baseline"] = run_load(
+            lambda: baseline_service, operation, calls, CLIENTS, seed=2023
         )
-    finally:
-        baseline_service.close()
     return outcome
 
 
@@ -82,22 +89,22 @@ def test_wire_throughput_vs_in_process(benchmark):
     print(render_table(batched.summary_rows(), title="Wire workload (batched)"))
     sweep_rows = [
         {
-            "depth": result.pipeline_depth,
+            "depth": depth,
             "ops_per_second": f"{result.ops_per_second:,.0f}",
-            "op_p50_ms": f"{result.p50_ms:.3f}",
-            "op_p99_ms": f"{result.p99_ms:.3f}",
-            "lost": result.lost_responses,
-            "corrupt": result.corrupt_responses,
+            "op_p50_ms": f"{result.latency_ms(0.50):.3f}",
+            "op_p99_ms": f"{result.latency_ms(0.99):.3f}",
+            "lost": result.lost,
+            "corrupt": result.corrupt,
         }
-        for result in outcome["sweep"]
+        for depth, result in zip(PIPELINE_DEPTHS, outcome["sweep"])
     ]
     print(render_table(sweep_rows, title="Pipelining-depth sweep (single-key frames)"))
 
     # Zero lost or corrupted responses anywhere — the wire soak bar.
     for result in [batched, *outcome["sweep"]]:
-        assert result.lost_responses == 0
-        assert result.corrupt_responses == 0
+        assert result.clean and result.errors == 0
         assert result.operations > 0 and result.ops_per_second > 0
+    assert baseline.clean and baseline.counts == batched.counts
     # Wire ops cost more than in-process ops, but not absurdly more, and the
     # served snapshot's cache counters stay consistent under wire traffic.
     assert batched.ops_per_second > 0
@@ -118,13 +125,12 @@ def test_wire_single_client_correctness(benchmark):
         service = KVService(ServiceConfig(shard_count=1, compressor="none"))
         try:
             with ThreadedKVServer(service, ServerConfig(port=0)) as server:
-                host, port = server.address
-                return run_wire_workload(
-                    host, port, values, operations=200, clients=1, pipeline_depth=1,
+                return run_over_wire(
+                    server, default_keys(120), values, 200, 1, seed=2023, pipeline=True
                 )
         finally:
             service.close()
 
     result = benchmark.pedantic(run, iterations=1, rounds=1)
-    assert result.lost_responses == 0 and result.corrupt_responses == 0
+    assert result.clean and result.errors == 0
     assert result.operations == 200

@@ -18,7 +18,8 @@ import time
 
 from repro.bench import render_table
 from repro.datasets import load_dataset
-from repro.net import KVClient, ServerConfig, ThreadedKVServer, run_open_loop_workload
+from repro.loadgen import mixed_operation, per_worker, run_load
+from repro.net import KVClient, ServerConfig, ThreadedKVServer
 from repro.service import KVService, ServiceConfig
 
 #: Unpipelined GETs per timed pass (one pass = one per-op sample).
@@ -64,10 +65,11 @@ def run_overhead_benchmark() -> dict:
                     _timed_gets(mode["client"], keys, OPERATIONS)
                 )
         enabled_host, enabled_port = modes[True]["server"].address
-        open_loop = run_open_loop_workload(
-            enabled_host, enabled_port, values, rate=2000.0, operations=1000,
-            workers=4, preload=False,
-        )
+        operation, calls = mixed_operation(keys, values, 1000)
+        with per_worker(
+            lambda: KVClient(enabled_host, enabled_port, pool_size=1)
+        ) as connect:
+            open_loop = run_load(connect, operation, calls, workers=4, rate=2000.0)
     finally:
         for mode in modes.values():
             mode["client"].close()
@@ -92,8 +94,8 @@ def test_instrumentation_overhead_under_bar(benchmark):
     )
     result = outcome["open_loop"]
     print(render_table(result.summary_rows(), title="Open-loop run (metrics on)"))
-    assert result.errors == 0
-    assert result.completed == result.offered_operations
+    assert result.errors == 0 and result.clean
+    assert result.completed == result.offered
     # The tentpole bar: metrics on the hot path must stay under 5% on the
     # syscall-dominated wire round trip.
     assert ratio < OVERHEAD_BAR, (

@@ -2,7 +2,7 @@
 
 Runs a small subset of the `repro.scenarios` registry (one point mix, one
 scan-heavy mix, one paper-native mix) against in-process servers on both
-backends, through the open-loop wire load generator with the built-in
+backends, through the one load driver (`repro.loadgen`, open loop) with its
 correctness oracle.  The assertions are the oracle's: zero lost records,
 zero corrupt values, zero out-of-order scans — on a pure-Python substrate
 the throughput numbers are not the point, the end-to-end consistency of
@@ -59,11 +59,11 @@ def test_scenario_suite(benchmark):
     )
     assert len(results) == len(MIXES) * len(BACKENDS)
     for result in results:
-        assert result.open_loop.completed + result.open_loop.errors == OPERATIONS
+        assert result.load.completed + result.load.errors == OPERATIONS
         assert result.clean, result.row()
     # The scan-heavy mix must actually scan on both backends.
     scan_heavy = [result for result in results if result.scenario == "ycsb_e"]
     assert len(scan_heavy) == len(BACKENDS)
     for result in scan_heavy:
-        assert result.scans > 0
+        assert result.load.counts["SCAN"] > 0
         assert result.scan_items > 0

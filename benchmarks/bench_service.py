@@ -1,8 +1,8 @@
 """Service throughput — mixed GET/SET over the sharded concurrent KV service.
 
 Drives `repro.service.KVService` (4 TierBase shards, PBC_F value compression,
-compressed LRU read cache) with the batched mixed workload from
-`repro.service.workload` and reports per-shard compression ratios, the cache
+compressed LRU read cache) with the batched GET/SET mix through the one load
+driver (`repro.loadgen`) and reports per-shard compression ratios, the cache
 hit rate, and GET/SET latency percentiles — the same flow the
 `repro serve-bench` CLI command exposes.
 
@@ -13,7 +13,8 @@ cache hit rate on a GET-heavy mix, and sane latency percentiles.
 
 from repro.bench import render_table
 from repro.datasets import load_dataset
-from repro.service import KVService, ServiceConfig, run_mixed_workload
+from repro.loadgen import default_keys, mixed_operation, preload, run_load
+from repro.service import KVService, ServiceConfig
 
 #: Mixed-workload parameters (small: the substrate is pure Python).
 SHARDS = 4
@@ -24,34 +25,36 @@ BATCH_SIZE = 16
 CLIENTS = 2
 
 
+def run_mix(config: ServiceConfig, values, operations, get_fraction, batch, clients=1):
+    """Train, preload and drive one mix in-process; returns ``(result, snapshot)``."""
+    keys = default_keys(len(values))
+    operation, calls = mixed_operation(keys, values, operations, get_fraction, batch)
+    with KVService(config) as service:
+        service.train(values[: config.train_size])
+        preload(service, keys, values)
+        result = run_load(lambda: service, operation, calls, clients)
+        return result, service.snapshot()
+
+
 def run_service_benchmark(dataset: str = "kv1") -> "tuple[object, object]":
     """One end-to-end run; returns ``(result, snapshot)``."""
-    values = load_dataset(dataset, count=VALUES)
     config = ServiceConfig(
         shard_count=SHARDS, backend="tierbase", compressor="pbc_f", cache_entries=256
     )
-    with KVService(config) as service:
-        result = run_mixed_workload(
-            service,
-            values,
-            operations=OPERATIONS,
-            get_fraction=GET_FRACTION,
-            batch_size=BATCH_SIZE,
-            clients=CLIENTS,
-            seed=2023,
-        )
-    return result, result.snapshot
+    return run_mix(
+        config, load_dataset(dataset, count=VALUES), OPERATIONS, GET_FRACTION, BATCH_SIZE, CLIENTS
+    )
 
 
 def test_service_mixed_workload(benchmark):
     result, snapshot = benchmark.pedantic(run_service_benchmark, iterations=1, rounds=1)
     print()
     print(
-        f"{result.operations} ops ({result.get_operations} GET / {result.set_operations} SET), "
+        f"{result.operations} ops ({result.counts['GET']} GET / {result.counts['SET']} SET), "
         f"{CLIENTS} clients: {result.ops_per_second:,.0f} ops/s"
     )
-    print(render_table(result.shard_rows(), title="Per-shard compression"))
-    print(render_table(result.summary_rows(), title="Service summary"))
+    print(render_table(snapshot.shard_rows(), title="Per-shard compression"))
+    print(render_table(snapshot.summary_rows(), title="Service summary"))
 
     # Every shard received keys and compresses its values well below raw size.
     assert len(snapshot.shards) == SHARDS
@@ -65,21 +68,18 @@ def test_service_mixed_workload(benchmark):
     assert snapshot.get_latency.p99_ms >= snapshot.get_latency.p50_ms > 0.0
     assert snapshot.set_latency.p99_ms >= snapshot.set_latency.p50_ms > 0.0
     # All operations were accounted for (preload msets VALUES keys first).
-    assert snapshot.gets == result.get_operations
-    assert snapshot.sets == VALUES + result.set_operations
-    assert result.operations == OPERATIONS
+    assert snapshot.gets == result.counts["GET"]
+    assert snapshot.sets == VALUES + result.counts["SET"]
+    assert result.operations == OPERATIONS and result.errors == 0 and result.clean
 
 
 def test_service_uncompressed_baseline(benchmark):
     """The Uncompressed configuration stores at ratio 1.0 (Table 8's baseline row)."""
 
     def run() -> object:
-        values = load_dataset("kv1", count=240)
-        with KVService(ServiceConfig(shard_count=2, compressor="none")) as service:
-            return run_mixed_workload(
-                service, values, operations=480, get_fraction=0.5, batch_size=8
-            )
+        config = ServiceConfig(shard_count=2, compressor="none")
+        return run_mix(config, load_dataset("kv1", count=240), 480, 0.5, 8)
 
-    result = benchmark.pedantic(run, iterations=1, rounds=1)
-    assert abs(result.snapshot.ratio - 1.0) < 1e-9
-    assert result.snapshot.keys == 240
+    _, snapshot = benchmark.pedantic(run, iterations=1, rounds=1)
+    assert abs(snapshot.ratio - 1.0) < 1e-9
+    assert snapshot.keys == 240

@@ -6,8 +6,7 @@ the pytest benchmarks under ``benchmarks/`` are thin drivers around these
 runners.
 
 :mod:`repro.bench.harness` is the *performance-evidence* side: declared
-experiment grids fill the committed ``BENCH_*.json`` run tables (with the
-:mod:`repro.bench.hotpaths` before/after optimization pairs embedded), and
+experiment grids fill the committed ``BENCH_*.json`` run tables, and
 ``compare_documents`` gates regressions in CI.
 """
 

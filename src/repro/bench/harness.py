@@ -8,19 +8,21 @@ from the JSON alone and any two JSONs can be diffed by machine.
 
 Two areas are registered:
 
-* ``wire`` — closed-loop :func:`repro.net.loadgen.run_wire_workload` cells
-  over a live :class:`~repro.net.server.ThreadedKVServer`, spanning value
-  codec × pipeline depth (0 = server-side MGET/MSET batching).  Latency
-  percentiles are amortised round-trip times (``clock: "round-trip"``).
+* ``wire`` — closed-loop :func:`repro.loadgen.run_load` cells (the fixed
+  GET/SET mix) over a live :class:`~repro.net.server.ThreadedKVServer`,
+  spanning value codec × pipeline depth (0 = server-side MGET/MSET
+  batching).  Latency percentiles are amortised round-trip times
+  (``clock: "round-trip"``).
 * ``service`` — open-loop YCSB scenario cells
   (:func:`repro.scenarios.runner.run_suite`), spanning backend × workload
   mix.  Latency percentiles are measured from each operation's *scheduled*
   release (``clock: "scheduled-release"``), so queueing under overload is
   visible, and the scenario oracle's lost/corrupt tallies ride along.
 
-Every document also carries the speed campaign's **before/after
-optimization pairs** (:mod:`repro.bench.hotpaths`), re-measured live at
-write time — the "no row, no merge" evidence for each attacked hot path.
+The committed documents also carry the speed campaign's **before/after
+optimization pairs** under ``optimizations``.  Those are frozen history: a
+pair is measured once, at the PR that lands the optimization, against the
+parent commit — new documents carry none, and validation accepts both.
 
 :func:`compare_documents` is the regression gate: cells are matched by
 their dimension values, repetitions are averaged, and any cell whose
@@ -78,12 +80,12 @@ ROW_METRIC_KEYS = (
 )
 
 #: required keys of the document envelope.
-DOCUMENT_KEYS = ("schema", "area", "created_unix", "env", "config", "rows", "optimizations")
+DOCUMENT_KEYS = ("schema", "area", "created_unix", "env", "config", "rows")
 
 #: required keys of the environment fingerprint.
 ENV_KEYS = ("python", "platform", "cpu_count", "git_sha")
 
-#: required keys of one optimization before/after pair.
+#: required keys of one (frozen) optimization before/after pair.
 PAIR_KEYS = ("name", "metric", "before", "after", "improvement")
 
 
@@ -205,14 +207,6 @@ AREAS: dict[str, ExperimentGrid] = {
     )
 }
 
-#: the before/after pair runners re-measured into each area's document.
-_AREA_PAIRS: dict[str, tuple[str, ...]] = {
-    "wire": ("pair_frame_decode", "pair_mvalue_decode"),
-    "service": ("pair_matcher_index", "pair_service_dispatch", "pair_background_compaction"),
-    "sustained": ("pair_wal_encode",),
-}
-
-
 def area_names() -> list[str]:
     """Registered area names, in registration order."""
     return list(AREAS)
@@ -258,22 +252,27 @@ def env_fingerprint() -> dict:
 # ---------------------------------------------------------------- cell runners
 
 
-def _percentile_ms(latencies: Sequence[float], fraction: float) -> float:
-    from repro.service.stats import percentile
-
-    return round(percentile(sorted(latencies), fraction) * 1e3, 3)
-
-
 def _run_wire_cell(cell: Mapping, base: Mapping) -> dict:
     """One closed-loop wire run against a fresh in-process server."""
     from repro.datasets import load_dataset
-    from repro.net.loadgen import run_wire_workload
+    from repro.loadgen import default_keys, mixed_operation, per_worker, preload, run_load
+    from repro.net.client import KVClient
     from repro.net.server import ServerConfig, ThreadedKVServer
     from repro.service.service import KVService, ServiceConfig
 
     backend = str(cell.get("backend", base["backend"]))
     codec = str(cell.get("codec", base.get("codec", "pbc_f")))
     values = load_dataset(str(base["dataset"]), count=int(base["values"]), seed=int(base["seed"]))
+    keys = default_keys(len(values))
+    depth = int(cell["pipeline_depth"])
+    operation, calls = mixed_operation(
+        keys,
+        values,
+        int(base["operations"]),
+        get_fraction=float(base["get_fraction"]),
+        batch=depth or int(base["batch_size"]),
+        pipeline=depth > 0,
+    )
     with tempfile.TemporaryDirectory(prefix="repro-bench-") as directory:
         config = ServiceConfig(
             shard_count=int(cell.get("shards", base["shards"])),
@@ -288,26 +287,20 @@ def _run_wire_cell(cell: Mapping, base: Mapping) -> dict:
                 service.train(values)
             with ThreadedKVServer(service, ServerConfig(port=0)) as server:
                 host, port = server.address
-                result = run_wire_workload(
-                    host,
-                    port,
-                    values,
-                    operations=int(base["operations"]),
-                    get_fraction=float(base["get_fraction"]),
-                    batch_size=int(base["batch_size"]),
-                    clients=int(base["clients"]),
-                    pipeline_depth=int(cell["pipeline_depth"]),
-                    seed=int(base["seed"]),
-                )
+                with per_worker(lambda: KVClient(host, port, pool_size=1)) as connect:
+                    preload(connect(), keys, values)
+                    result = run_load(
+                        connect, operation, calls, int(base["clients"]), seed=int(base["seed"])
+                    )
         finally:
             service.close()
     return {
         "ops_per_second": round(result.ops_per_second, 1),
-        "p50_ms": _percentile_ms(result.latencies, 0.50),
-        "p95_ms": _percentile_ms(result.latencies, 0.95),
-        "p99_ms": _percentile_ms(result.latencies, 0.99),
-        "lost": result.lost_responses,
-        "corrupt": result.corrupt_responses,
+        "p50_ms": round(result.latency_ms(0.50), 3),
+        "p95_ms": round(result.latency_ms(0.95), 3),
+        "p99_ms": round(result.latency_ms(0.99), 3),
+        "lost": result.lost,
+        "corrupt": result.corrupt,
         "clock": "round-trip",
     }
 
@@ -392,7 +385,6 @@ def run_area(
     repetitions: int = 2,
     warmup: int = 1,
     overrides: Mapping[str, object] | None = None,
-    pairs: bool = True,
     progress: Callable[[str], None] | None = None,
 ) -> dict:
     """Execute one area's grid and return its benchmark document.
@@ -401,8 +393,7 @@ def run_area(
     ``repetitions`` recorded ones (repetition ids count from 0 and are
     strictly increasing within a cell).  ``overrides`` replaces base
     workload knobs — e.g. ``{"operations": 128}`` for a CI smoke run —
-    without changing the cell dimensions.  With ``pairs`` the area's
-    hot-path before/after rows are re-measured and embedded.
+    without changing the cell dimensions.
     """
     if repetitions < 1:
         raise BenchHarnessError("benchmark needs at least one repetition")
@@ -431,13 +422,6 @@ def run_area(
             say(f"[{position + 1}/{len(cells)}] rep {repetition}    {label}")
             metrics = runner(cell, base)
             rows.append({**cell, "repetition": repetition, **metrics})
-    optimizations: list[dict] = []
-    if pairs:
-        from repro.bench import hotpaths
-
-        for pair_name in _AREA_PAIRS.get(area, ()):
-            say(f"pair {pair_name}")
-            optimizations.append(getattr(hotpaths, pair_name)())
     document = {
         "schema": SCHEMA,
         "area": area,
@@ -451,7 +435,6 @@ def run_area(
             "warmup": warmup,
         },
         "rows": rows,
-        "optimizations": optimizations,
     }
     validate_document(document)
     return document
@@ -489,7 +472,7 @@ def validate_document(document: Mapping) -> None:
                 f"monotone: {row['repetition']} after {previous}"
             )
         last_repetition[cell_key] = row["repetition"]
-    for pair in document["optimizations"]:
+    for pair in document.get("optimizations", ()):
         for key in PAIR_KEYS:
             if key not in pair:
                 raise BenchHarnessError(f"optimization pair is missing key {key!r}: {pair}")

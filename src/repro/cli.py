@@ -264,9 +264,14 @@ def _cmd_stream_get(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    from repro.service import KVService, ServiceConfig, run_mixed_workload
+    from repro.loadgen import default_keys, mixed_operation, preload, run_load
+    from repro.service import KVService, ServiceConfig
 
     values = load_dataset(args.dataset, count=args.count)
+    keys = default_keys(len(values))
+    operation, calls = mixed_operation(
+        keys, values, args.ops, get_fraction=args.get_fraction, batch=args.batch_size
+    )
     directory = args.directory
     temporary = None
     if args.backend == "lsm" and directory is None:
@@ -284,26 +289,23 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     )
     try:
         with KVService(config) as service:
-            result = run_mixed_workload(
-                service,
-                values,
-                operations=args.ops,
-                get_fraction=args.get_fraction,
-                batch_size=args.batch_size,
-                clients=args.clients,
-                seed=args.seed,
-            )
+            service.train(values[: config.train_size])
+            preload(service, keys, values)
+            result = run_load(lambda: service, operation, calls, args.clients, seed=args.seed)
+            # The workers have joined, so the service is quiescent and the
+            # snapshot's strict cross-counter invariants must hold.
+            snapshot = service.snapshot().validate()
     finally:
         if temporary is not None:
             temporary.cleanup()
     print(
-        f"{result.operations} mixed operations ({result.get_operations} GET / "
-        f"{result.set_operations} SET) over {args.shards} {args.backend} shard(s) "
+        f"{result.operations} mixed operations ({result.counts.get('GET', 0)} GET / "
+        f"{result.counts.get('SET', 0)} SET) over {args.shards} {args.backend} shard(s) "
         f"with {args.clients} client(s): {result.ops_per_second:,.0f} ops/s"
     )
-    print(render_table(result.shard_rows(), title="Per-shard compression"))
-    print(render_table(result.summary_rows(), title="Service summary"))
-    return 0
+    print(render_table(snapshot.shard_rows(), title="Per-shard compression"))
+    print(render_table(snapshot.summary_rows(), title="Service summary"))
+    return 0 if result.clean and not result.errors else 1
 
 
 # ------------------------------------------------------------- serve / client
@@ -499,51 +501,50 @@ def _cmd_client_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_client_bench(args: argparse.Namespace) -> int:
-    from repro.net import run_open_loop_workload, run_wire_workload
+    from repro.loadgen import default_keys, mixed_operation, per_worker, preload, run_load
+    from repro.net import KVClient
 
     values = load_dataset(args.dataset, count=args.count)
-    if args.rate:
-        result = run_open_loop_workload(
-            args.host,
-            args.port,
-            values,
-            rate=args.rate,
-            operations=args.ops,
-            get_fraction=args.get_fraction,
-            workers=args.clients,
-            seed=args.seed,
-            preload=not args.no_preload,
-            timeout=args.timeout,
+    keys = default_keys(len(values))
+    # Open loop issues single-key frames; closed loop batches — one
+    # mget/mset per round trip, or --depth pipelined single-key frames.
+    batch = 1 if args.rate else args.depth or args.batch_size
+    operation, calls = mixed_operation(
+        keys,
+        values,
+        args.ops,
+        get_fraction=args.get_fraction,
+        batch=batch,
+        pipeline=not args.rate and args.depth > 0,
+    )
+    with per_worker(
+        lambda: KVClient(args.host, args.port, pool_size=1, timeout=args.timeout)
+    ) as connect:
+        if not args.no_preload:
+            preload(connect(), keys, values)
+        result = run_load(
+            connect, operation, calls, args.clients, rate=args.rate or None, seed=args.seed
         )
+    if args.rate:
         print(
-            f"open loop: offered {result.offered_rate:,.0f} ops/s, achieved "
-            f"{result.achieved_rate:,.0f} ops/s ({result.completed}/{result.offered_operations} "
+            f"open loop: offered {result.rate:,.0f} ops/s, achieved "
+            f"{result.ops_per_second:,.0f} ops/s ({result.completed}/{result.offered} "
             f"completed, {result.errors} error(s))"
         )
-        print(render_table(result.summary_rows(), title="Open-loop wire workload"))
-        return 0
-    result = run_wire_workload(
-        args.host,
-        args.port,
-        values,
-        operations=args.ops,
-        get_fraction=args.get_fraction,
-        batch_size=args.batch_size,
-        clients=args.clients,
-        pipeline_depth=args.depth,
-        seed=args.seed,
-        preload=not args.no_preload,
-        timeout=args.timeout,
-    )
-    mode = f"pipeline depth {args.depth}" if args.depth else "mget/mset batches"
-    print(
-        f"{result.operations} wire operations ({result.get_operations} GET / "
-        f"{result.set_operations} SET) from {args.clients} client(s), {mode}: "
-        f"{result.ops_per_second:,.0f} ops/s"
-    )
+    else:
+        mode = f"pipeline depth {args.depth}" if args.depth else "mget/mset batches"
+        print(
+            f"{result.operations} wire operations ({result.counts.get('GET', 0)} GET / "
+            f"{result.counts.get('SET', 0)} SET) from {args.clients} client(s), {mode}: "
+            f"{result.ops_per_second:,.0f} ops/s"
+        )
     print(render_table(result.summary_rows(), title="Wire workload"))
-    if result.lost_responses or result.corrupt_responses:
+    if not result.clean:
         print("error: lost or corrupted responses detected", file=sys.stderr)
+        return 1
+    if result.errors and not args.rate:
+        # A closed loop has no overload to probe: a failed round trip is a fault.
+        print(f"error: {result.errors} round trip(s) failed", file=sys.stderr)
         return 1
     return 0
 
@@ -597,8 +598,8 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
         for result in dirty:
             print(
                 f"error: scenario {result.scenario!r} on {result.backend}: "
-                f"{result.lost} lost, {result.corrupt} corrupt, "
-                f"{result.unordered} unordered",
+                f"{result.load.lost} lost, {result.load.corrupt} corrupt, "
+                f"{result.load.unordered} unordered",
                 file=sys.stderr,
             )
         return 1
@@ -649,7 +650,6 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
         repetitions=args.repetitions,
         warmup=args.warmup,
         overrides=_bench_overrides(args) or None,
-        pairs=not args.no_pairs,
         progress=progress,
     )
     payload = json.dumps(document, indent=2) + "\n"
@@ -663,8 +663,6 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
     print(f"wrote {len(document['rows'])} rows to {output}")
     if not args.raw:
         print(render_table(document["rows"], title=f"bench {args.area} run table"))
-        if document["optimizations"]:
-            print(render_table(document["optimizations"], title="optimization pairs"))
     return 0
 
 
@@ -1131,10 +1129,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_run.add_argument(
         "--seconds", type=float, default=None,
         help="override the per-cell run duration (sustained area)",
-    )
-    bench_run.add_argument(
-        "--no-pairs", action="store_true",
-        help="skip re-measuring the before/after optimization pairs",
     )
     bench_run.add_argument(
         "--output", default=None,

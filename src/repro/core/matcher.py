@@ -71,9 +71,10 @@ class MultiPatternMatcher:
     """Matches records against a pattern dictionary, longest pattern first.
 
     Two optimizations on top of the straight prefilter-every-pattern loop
-    (both preserved behaviourally — the committed ``matcher_candidate_index``
-    benchmark row pairs this class against the original loop, kept in
-    :class:`repro.bench.hotpaths.LegacyMatcher`):
+    (both preserved behaviourally — ``tests/test_matcher.py`` keeps the
+    original loop as a reference oracle and checks this class against it; the
+    frozen ``matcher_candidate_index`` row in ``BENCH_service.json`` is the
+    measured pair):
 
     * **candidate index** — patterns are bucketed by the first character of
       their literal prefix.  A record can only match a pattern whose prefix

@@ -64,6 +64,11 @@ class ServiceError(ReproError):
     """A :mod:`repro.service` operation failed (bad configuration, closed service)."""
 
 
+class LoadError(ReproError):
+    """A :mod:`repro.loadgen` run was asked for something impossible (no
+    operations, no workers, a non-positive rate, an empty key space)."""
+
+
 class CodecError(ReproError):
     """A :mod:`repro.codecs` registry or codec operation failed."""
 

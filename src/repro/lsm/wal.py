@@ -2,20 +2,17 @@
 :class:`~repro.oplog.disk.DiskSink`.
 
 The file mechanics (append, durability policy, torn-tail replay, truncate)
-moved to :mod:`repro.oplog.disk` in the operation-log refactor; this module
-keeps the WAL's historical API and adds the LSN-aware one:
+live in :mod:`repro.oplog.disk`; this module is the engine-facing name:
 
-* the legacy methods (:meth:`WriteAheadLog.append_put` /
-  :meth:`~WriteAheadLog.append_delete` / :meth:`~WriteAheadLog.append_many`,
-  and :meth:`~WriteAheadLog.replay`'s ``(op, key, value)`` tuples) still
-  write and read the pre-LSN record format, byte-identical to old files —
-  they exist for direct-WAL callers and the mixed-version tests;
 * as a :class:`~repro.oplog.sink.LogSink`, :meth:`WriteAheadLog.append`
   accepts sequenced :class:`~repro.oplog.record.OpRecord`\\ s from the
   engine's :class:`~repro.oplog.log.OperationLog`, and
   :meth:`~WriteAheadLog.replay_records` yields them back as a gap-free LSN
-  prefix (legacy records replay with synthesised LSNs, so an old file
-  reopens seamlessly under the new contract);
+  prefix.  Files written before the LSN format still *read*: their records
+  replay with synthesised LSNs, so an old file reopens seamlessly (nothing
+  writes that format any more);
+* :meth:`~WriteAheadLog.replay` is the same replay as ``(op, key, value)``
+  tuples, checkpoints skipped;
 * :meth:`~WriteAheadLog.reset` takes the flushed prefix's last LSN and
   stamps it into the fresh file as an ``OP_CHECKPOINT`` record, so a shard
   never re-issues an LSN across flush/reopen.
@@ -33,12 +30,7 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 from repro.oplog.disk import SYNC_MODES, DiskSink
-from repro.oplog.record import (
-    OP_DELETE,
-    OP_PUT,
-    OpRecord,
-    encode_legacy_record,
-)
+from repro.oplog.record import OP_DELETE, OP_PUT, OpRecord
 from repro.oplog.sink import LogSink
 
 __all__ = ["OP_DELETE", "OP_PUT", "SYNC_MODES", "WriteAheadLog"]
@@ -87,29 +79,6 @@ class WriteAheadLog(LogSink):
         """LogSink entry point: write sequenced LSN-stamped records (batched:
         one buffer, one durability barrier for the whole batch)."""
         self._sink.append(records)
-
-    def append_put(self, key: str, value: str) -> None:
-        """Log an insert/overwrite in the legacy (pre-LSN) record format."""
-        self._sink.append_raw(encode_legacy_record(OP_PUT, key, value))
-
-    def append_delete(self, key: str) -> None:
-        """Log a deletion in the legacy (pre-LSN) record format."""
-        self._sink.append_raw(encode_legacy_record(OP_DELETE, key, ""))
-
-    def append_many(self, records: Sequence[tuple[int, str, str]]) -> None:
-        """Log a batch of legacy ``(op, key, value)`` records with **one** write.
-
-        The batch is encoded into a single buffer, written with one syscall
-        and flushed/fsynced once, so an N-record batch pays one durability
-        barrier instead of N.  Each record still carries its own CRC, so a
-        torn batch replays as a valid prefix.
-        """
-        if not records:
-            return
-        buffer = bytearray()
-        for op, key, value in records:
-            buffer += encode_legacy_record(op, key, value)
-        self._sink.append_raw(bytes(buffer))
 
     def flush(self) -> None:
         """Drain the userspace buffer into the kernel (survives a process kill)."""

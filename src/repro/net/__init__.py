@@ -18,11 +18,10 @@ traffic:
   :class:`Pipeline` for N-requests-per-round-trip) and the asyncio
   :class:`AsyncKVClient`; server errors come back as typed
   :class:`~repro.exceptions.RemoteError` subclasses that also inherit the
-  original exception type (``ModelEpochError`` stays catchable);
-* :mod:`repro.net.loadgen` — the mixed GET/SET wire workload drivers behind
-  ``repro client bench`` and ``benchmarks/bench_net.py``: closed-loop
-  (:func:`run_wire_workload`) and open-loop arrival-rate
-  (:func:`run_open_loop_workload`, offered vs achieved rate).
+  original exception type (``ModelEpochError`` stays catchable).
+
+Load is generated by :mod:`repro.loadgen`, which takes a :class:`KVClient`
+as its target; this package does not import it.
 
 The server is instrumented end to end with :mod:`repro.obs`: per-opcode
 counters and latency histograms, a ``METRICS`` opcode answering the same
@@ -50,13 +49,6 @@ Or from the command line: ``repro serve --port 9100`` then
 """
 
 from repro.net.client import AsyncKVClient, KVClient, Pipeline, remote_error
-from repro.net.loadgen import (
-    OpenLoopResult,
-    WireWorkloadResult,
-    preload_over_wire,
-    run_open_loop_workload,
-    run_wire_workload,
-)
 from repro.net.protocol import (
     DEFAULT_MAX_BODY,
     MAGIC,
@@ -107,7 +99,6 @@ __all__ = [
     "MultiKeyValueResponse",
     "MultiValueResponse",
     "OkResponse",
-    "OpenLoopResult",
     "Pipeline",
     "PingRequest",
     "PongResponse",
@@ -118,12 +109,8 @@ __all__ = [
     "StatsResponse",
     "ThreadedKVServer",
     "ValueResponse",
-    "WireWorkloadResult",
     "decode_frames",
     "encode_frame",
     "opcode_table",
-    "preload_over_wire",
     "remote_error",
-    "run_open_loop_workload",
-    "run_wire_workload",
 ]

@@ -113,9 +113,9 @@ def encode_records(records: Sequence[OpRecord]) -> bytes:
 def encode_legacy_record(op: int, key: str, value: str) -> bytes:
     """A pre-LSN record, byte-identical to what old WALs contain.
 
-    Kept for the legacy ``WriteAheadLog.append_put``-style API (and the
-    mixed-version tests): these records carry no LSN and replay with
-    synthesised ones.
+    Nothing writes this format any more; it is kept so the read-side
+    compatibility tests can build the bytes an old file holds.  These
+    records carry no LSN and replay with synthesised ones.
     """
     key_bytes = key.encode("utf-8")
     value_bytes = value.encode("utf-8")

@@ -13,10 +13,10 @@ was evaluated against:
   financial ticks) that drive the same machinery with the paper's own
   record families;
 * :mod:`repro.scenarios.runner` — :func:`run_scenario` plugs a mix into
-  the open-loop wire load generator
-  (:func:`repro.net.loadgen.run_open_loop_workload`) with an operation
-  callback that doubles as a correctness oracle (value-universe checks,
-  scan ordering/completeness against an acknowledged record counter);
+  the one load driver (:func:`repro.loadgen.run_load`, open loop) as an
+  operation callback whose reads and scans go through the driver's oracle
+  (value-universe checks, scan ordering/completeness against an
+  acknowledged record counter);
   :func:`run_suite` runs the mix matrix against in-process servers on
   both backends and returns machine-readable per-mix rows.
 

@@ -1,15 +1,15 @@
-"""Drive the scenario mixes through the open-loop wire load generator.
+"""Drive the scenario mixes through the one load driver.
 
-:func:`run_scenario` preloads a record space over the wire, then plugs a
-mix-specific operation callback into
-:func:`repro.net.loadgen.run_open_loop_workload` — so every scenario
-inherits the open-loop discipline (global arrival timetable, per-index
-deterministic RNG, latency measured from the *scheduled* release).  The
-callback does double duty as a correctness oracle: every read checks the
-value against the dataset's value universe, every scan checks ordering and
-completeness against the acknowledged record count, and the per-mix row
-reports ``lost`` / ``corrupt`` / ``unordered`` tallies that the scenario
-suite (and CI) assert are zero.
+:func:`run_scenario` preloads a record space, then hands a mix-specific
+operation callback to :func:`repro.loadgen.run_load` at an open-loop rate —
+so every scenario inherits the open-loop discipline (global arrival
+timetable, per-index deterministic RNG, latency measured from the
+*scheduled* release) on whatever transport ``connect()`` returns.  The
+callback does double duty as a correctness check: every read and scan goes
+through the driver's :class:`~repro.loadgen.Oracle` (value universe, scan
+ordering, completeness against the acknowledged record count), and the
+per-mix row reports the ``lost`` / ``corrupt`` / ``unordered`` tallies that
+the scenario suite (and CI) assert are zero.
 
 Keys are zero-padded decimal indexes (``y00000042``) so lexicographic
 order equals insert order — which is what lets a scan's completeness be
@@ -22,20 +22,18 @@ finished.
 
 from __future__ import annotations
 
-import itertools
 import tempfile
 import threading
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.datasets import load_dataset
+from repro.loadgen import LoadResult, Oracle, per_worker, preload, run_load
 from repro.net.client import KVClient
-from repro.net.loadgen import OpenLoopResult, run_open_loop_workload
 from repro.net.server import ServerConfig, ThreadedKVServer
 from repro.scenarios.keydist import make_chooser
 from repro.scenarios.mixes import ScenarioSpec, get_scenario, scenario_names
 from repro.service.service import KVService, ServiceConfig
-from repro.service.stats import percentile
 
 __all__ = ["ScenarioResult", "run_scenario", "run_suite", "KEY_PREFIX", "key_for"]
 
@@ -50,7 +48,7 @@ def key_for(index: int) -> str:
 
 
 class _Accounting:
-    """Thread-safe record counter plus correctness tallies.
+    """Thread-safe record counter plus scan-size tallies.
 
     ``visible`` is the acknowledged-contiguous record count: an insert
     reserves the next index, writes the record, then acknowledges it —
@@ -63,10 +61,6 @@ class _Accounting:
         self.visible = initial_records
         self._next = initial_records
         self._pending: set[int] = set()
-        self.lost = 0
-        self.corrupt = 0
-        self.unordered = 0
-        self.scans = 0
         self.scan_items = 0
         self.max_scan_items = 0
 
@@ -87,166 +81,105 @@ class _Accounting:
         with self._lock:
             return self.visible
 
-    def flag_lost(self, count: int = 1) -> None:
-        with self._lock:
-            self.lost += count
-
-    def flag_corrupt(self, count: int = 1) -> None:
-        with self._lock:
-            self.corrupt += count
-
-    def flag_unordered(self) -> None:
-        with self._lock:
-            self.unordered += 1
-
     def record_scan(self, items: int) -> None:
         with self._lock:
-            self.scans += 1
             self.scan_items += items
             self.max_scan_items = max(self.max_scan_items, items)
 
 
 @dataclass
 class ScenarioResult:
-    """Outcome of one scenario run: load-generator stats + oracle tallies."""
+    """Outcome of one scenario run: the load result (driver stats + oracle
+    tallies) plus the record-space bookkeeping only a scenario has."""
 
     scenario: str
     backend: str
-    open_loop: OpenLoopResult
+    load: LoadResult
     #: acknowledged record count when the run finished.
     records: int
-    #: reads/scans that missed a record the oracle says must exist.
-    lost: int
-    #: values outside the dataset's value universe (torn/stale decodes).
-    corrupt: int
-    #: scans whose keys came back out of order.
-    unordered: int
-    scans: int = 0
     scan_items: int = 0
     max_scan_items: int = 0
 
     @property
     def clean(self) -> bool:
         """True when the correctness oracle saw zero anomalies."""
-        return self.lost == 0 and self.corrupt == 0 and self.unordered == 0
-
-    def _overall_latency_ms(self, fraction: float) -> float:
-        merged = sorted(
-            itertools.chain.from_iterable(self.open_loop.latencies.values())
-        )
-        return percentile(merged, fraction) * 1e3
+        return self.load.clean
 
     def row(self) -> dict:
         """One machine-readable per-mix row (JSON-serialisable)."""
-        result = self.open_loop
+        load = self.load
+        scans = load.counts.get("SCAN", 0)
         return {
             "scenario": self.scenario,
             "backend": self.backend,
-            "operations": result.completed,
-            "errors": result.errors,
-            "offered_rate": round(result.offered_rate, 1),
-            "achieved_rate": round(result.achieved_rate, 1),
-            "p50_ms": round(self._overall_latency_ms(0.50), 3),
-            "p95_ms": round(self._overall_latency_ms(0.95), 3),
-            "p99_ms": round(self._overall_latency_ms(0.99), 3),
-            "ops": dict(sorted(result.opcode_counts.items())),
-            "error_kinds": dict(sorted(result.error_kinds.items())),
-            "scan_count": self.scans,
+            "operations": load.completed,
+            "errors": load.errors,
+            "offered_rate": round(load.rate or 0.0, 1),
+            "achieved_rate": round(load.ops_per_second, 1),
+            "p50_ms": round(load.latency_ms(0.50), 3),
+            "p95_ms": round(load.latency_ms(0.95), 3),
+            "p99_ms": round(load.latency_ms(0.99), 3),
+            "ops": dict(sorted(load.counts.items())),
+            "error_kinds": dict(sorted(load.error_kinds.items())),
+            "scan_count": scans,
             "scan_items": self.scan_items,
-            "avg_scan_len": round(self.scan_items / self.scans, 2) if self.scans else 0.0,
+            "avg_scan_len": round(self.scan_items / scans, 2) if scans else 0.0,
             "max_scan_len": self.max_scan_items,
             "records": self.records,
-            "lost": self.lost,
-            "corrupt": self.corrupt,
-            "unordered": self.unordered,
+            "lost": load.lost,
+            "corrupt": load.corrupt,
+            "unordered": load.unordered,
         }
 
 
-def _preload_records(
-    host: str, port: int, values: Sequence[str], records: int, timeout: float
-) -> None:
-    with KVClient(host, port, timeout=timeout) as client:
-        batch = 64
-        for start in range(0, records, batch):
-            client.mset(
-                [
-                    (key_for(index), values[index % len(values)])
-                    for index in range(start, min(start + batch, records))
-                ]
-            )
-
-
 def _build_operation(spec: ScenarioSpec, values: Sequence[str], accounting: _Accounting):
-    """The per-operation callback handed to the open-loop load generator."""
+    """The per-operation callback handed to :func:`repro.loadgen.run_load`."""
     chooser = make_chooser(spec.distribution)
-    universe = frozenset(values)
+    oracle = Oracle(values)
     # Cumulative fraction ladder: read | update | insert | scan | rmw.
     c_read = spec.read
     c_update = c_read + spec.update
     c_insert = c_update + spec.insert
     c_scan = c_insert + spec.scan
 
-    def _check_value(value: str) -> None:
-        if value not in universe:
-            accounting.flag_corrupt()
-
-    def operation(client: KVClient, rng, index: int) -> str:
+    def operation(target, rng, index: int) -> tuple[str, int]:
         draw = rng.random()
         visible = accounting.snapshot_visible()
         if draw < c_read:
-            key = key_for(chooser.choose(rng, visible))
-            value = client.get(key)
-            if value is None:
-                accounting.flag_lost()
-            else:
-                _check_value(value)
-            return "READ"
+            oracle.check_value(target.get(key_for(chooser.choose(rng, visible))))
+            return "READ", 1
         if draw < c_update:
             key = key_for(chooser.choose(rng, visible))
-            client.set(key, values[rng.randrange(len(values))])
-            return "UPDATE"
+            target.set(key, values[rng.randrange(len(values))])
+            return "UPDATE", 1
         if draw < c_insert:
             reserved = accounting.reserve_insert()
-            client.set(key_for(reserved), values[reserved % len(values)])
+            target.set(key_for(reserved), values[reserved % len(values)])
             accounting.acknowledge_insert(reserved)
-            return "INSERT"
+            return "INSERT", 1
         if draw < c_scan:
             length = rng.randint(1, spec.max_scan_length)
             start = chooser.choose(rng, visible)
             results = list(
-                client.scan(key_for(start), key_for(start + length), limit=length)
+                target.scan(key_for(start), key_for(start + length), limit=length)
             )
-            previous = None
-            for key, value in results:
-                if previous is not None and key <= previous:
-                    accounting.flag_unordered()
-                previous = key
-                _check_value(value)
             # Inserts never delete, so the range [start, start+length)
             # holds at least min(length, visible-at-pick - start) records.
-            expected = min(length, max(visible - start, 0))
-            if len(results) < expected:
-                accounting.flag_lost(expected - len(results))
-            if len(results) > length:
-                accounting.flag_corrupt(len(results) - length)
+            oracle.check_scan(results, min(length, max(visible - start, 0)), length)
             accounting.record_scan(len(results))
-            return "SCAN"
+            return "SCAN", 1
         key = key_for(chooser.choose(rng, visible))
-        value = client.get(key)
-        if value is None:
-            accounting.flag_lost()
-        else:
-            _check_value(value)
-        client.set(key, values[rng.randrange(len(values))])
-        return "RMW"
+        oracle.check_value(target.get(key))
+        target.set(key, values[rng.randrange(len(values))])
+        return "RMW", 1
 
+    operation.oracle = oracle
     return operation
 
 
 def run_scenario(
     scenario: str | ScenarioSpec,
-    host: str,
-    port: int,
+    connect: Callable[[], object],
     *,
     backend: str = "",
     operations: int = 512,
@@ -255,37 +188,27 @@ def run_scenario(
     records: int = 256,
     value_count: int = 256,
     seed: int = 2023,
-    timeout: float = 30.0,
 ) -> ScenarioResult:
-    """Run one scenario mix against a live server and return its row."""
+    """Run one scenario mix against whatever ``connect()`` returns."""
     spec = get_scenario(scenario) if isinstance(scenario, str) else scenario
     if records < 1:
         raise ValueError("records must be at least 1")
     values = load_dataset(spec.dataset, count=value_count, seed=seed)
-    _preload_records(host, port, values, records, timeout)
+    preload(connect(), [key_for(index) for index in range(records)], values)
     accounting = _Accounting(records)
-    operation = _build_operation(spec, values, accounting)
-    open_loop = run_open_loop_workload(
-        host,
-        port,
-        values,
+    load = run_load(
+        connect,
+        _build_operation(spec, values, accounting),
+        operations,
+        workers,
         rate=rate,
-        operations=operations,
-        workers=workers,
         seed=seed,
-        preload=False,
-        timeout=timeout,
-        operation=operation,
     )
     return ScenarioResult(
         scenario=spec.name,
         backend=backend,
-        open_loop=open_loop,
+        load=load,
         records=accounting.snapshot_visible(),
-        lost=accounting.lost,
-        corrupt=accounting.corrupt,
-        unordered=accounting.unordered,
-        scans=accounting.scans,
         scan_items=accounting.scan_items,
         max_scan_items=accounting.max_scan_items,
     )
@@ -334,12 +257,13 @@ def run_suite(
                             load_dataset(spec.dataset, count=value_count, seed=seed)
                         )
                     with ThreadedKVServer(service, ServerConfig(port=0)) as server:
-                        server_host, server_port = server.address
-                        results.append(
-                            run_scenario(
+                        host, port = server.address
+                        with per_worker(
+                            lambda: KVClient(host, port, pool_size=1, timeout=timeout)
+                        ) as connect:
+                            result = run_scenario(
                                 name,
-                                server_host,
-                                server_port,
+                                connect,
                                 backend=backend,
                                 operations=operations,
                                 rate=rate,
@@ -347,9 +271,8 @@ def run_suite(
                                 records=records,
                                 value_count=value_count,
                                 seed=seed,
-                                timeout=timeout,
                             )
-                        )
+                        results.append(result)
                 finally:
                     service.close()
     return results

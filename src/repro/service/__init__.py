@@ -14,9 +14,10 @@ compressor, fronted by one façade:
   executors, with drift-triggered background retraining,
 * :mod:`repro.service.cache` — an LRU read cache holding *compressed*
   payloads, decompressed per hit (the per-record random-access advantage),
-* :mod:`repro.service.stats` — latency recorders and snapshot dataclasses,
-* :mod:`repro.service.workload` — the mixed GET/SET benchmark driver behind
-  ``repro serve-bench`` and ``benchmarks/bench_service.py``.
+* :mod:`repro.service.stats` — latency recorders and snapshot dataclasses.
+
+Load is generated by :mod:`repro.loadgen`, which takes a :class:`KVService`
+as its target (``repro serve-bench``); this package does not import it.
 
 Quick start::
 
@@ -49,7 +50,6 @@ from repro.service.stats import (
     ServiceSnapshot,
     ShardSnapshot,
 )
-from repro.service.workload import MixedWorkloadResult, preload, run_mixed_workload
 
 #: Wire-layer classes re-exported lazily so ``from repro.service import
 #: KVServer`` works without importing asyncio machinery on every service use
@@ -75,7 +75,6 @@ __all__ = [
     "LSMShard",
     "LatencyRecorder",
     "LatencySummary",
-    "MixedWorkloadResult",
     "ServiceConfig",
     "ServiceSnapshot",
     "ShardBackend",
@@ -84,6 +83,4 @@ __all__ = [
     "TierBaseShard",
     "make_shard_backend",
     "make_value_compressor",
-    "preload",
-    "run_mixed_workload",
 ]

@@ -161,6 +161,35 @@ class ServiceSnapshot:
         """Total durable footprint across every shard."""
         return sum(shard.bytes_on_disk for shard in self.shards)
 
+    def shard_rows(self) -> list[dict]:
+        """Per-shard table rows for :func:`repro.bench.render_table`."""
+        return [
+            {
+                "shard": shard.shard_id,
+                "backend": shard.backend,
+                "compressor": shard.compressor,
+                "keys": shard.keys,
+                "ratio": round(shard.ratio, 3),
+                "outlier_rate": round(shard.outlier_rate, 3),
+                "retrains": shard.retrain_events,
+            }
+            for shard in self.shards
+        ]
+
+    def summary_rows(self) -> list[dict]:
+        """Service-level table rows (keys, ratio, cache, latency percentiles)."""
+        return [
+            {"metric": "keys", "value": f"{self.keys:,}"},
+            {"metric": "value_ratio", "value": f"{self.ratio:.3f}"},
+            {"metric": "cache_hit_rate", "value": f"{self.cache.hit_rate:.3f}"},
+            {"metric": "cache_entries", "value": self.cache.entries},
+            {"metric": "get_p50_ms", "value": f"{self.get_latency.p50_ms:.3f}"},
+            {"metric": "get_p99_ms", "value": f"{self.get_latency.p99_ms:.3f}"},
+            {"metric": "set_p50_ms", "value": f"{self.set_latency.p50_ms:.3f}"},
+            {"metric": "set_p99_ms", "value": f"{self.set_latency.p99_ms:.3f}"},
+            {"metric": "retrain_events", "value": self.retrain_events},
+        ]
+
     def validate(self, concurrent: bool = False) -> "ServiceSnapshot":
         """Check the cross-counter invariants; raises :class:`ServiceError`.
 

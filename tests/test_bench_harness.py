@@ -3,9 +3,10 @@
 Three pillars, per the PR's acceptance criteria:
 
 * **document schema** — every ``BENCH_*.json`` carries the envelope keys,
-  the env fingerprint, per-cell monotone repetition ids, and the
-  before/after optimization pairs; :func:`validate_document` rejects each
-  violation with a typed error;
+  the env fingerprint and per-cell monotone repetition ids; the frozen
+  before/after optimization pairs of the committed documents are accepted
+  but no longer required; :func:`validate_document` rejects each violation
+  with a typed error;
 * **determinism of shape** — a grid run produces exactly
   ``cells × repetitions`` rows regardless of workload knobs;
 * **compare semantics** — identical documents pass, a cell whose mean
@@ -40,7 +41,7 @@ SERVICE_OVERRIDES = {"operations": 48, "values": 32, "records": 32, "rate": 4000
 
 @pytest.fixture(scope="module")
 def wire_document():
-    return run_area("wire", repetitions=2, warmup=0, overrides=WIRE_OVERRIDES, pairs=False)
+    return run_area("wire", repetitions=2, warmup=0, overrides=WIRE_OVERRIDES)
 
 
 # ----------------------------------------------------------------------- grid
@@ -119,7 +120,7 @@ class TestDocument:
 
     def test_service_area_uses_the_scheduled_release_clock(self):
         document = run_area(
-            "service", repetitions=1, warmup=0, overrides=SERVICE_OVERRIDES, pairs=False
+            "service", repetitions=1, warmup=0, overrides=SERVICE_OVERRIDES
         )
         assert len(document["rows"]) == 8
         assert {row["clock"] for row in document["rows"]} == {"scheduled-release"}
@@ -168,6 +169,14 @@ class TestValidation:
         broken["rows"][1]["repetition"] = 5
         with pytest.raises(BenchHarnessError, match="not\\s+monotone"):
             validate_document(broken)
+
+    def test_optimizations_are_optional_but_checked_when_present(self, wire_document):
+        assert "optimizations" not in wire_document  # fresh runs measure no pairs
+        frozen = copy.deepcopy(wire_document)
+        frozen["optimizations"] = [
+            {"name": "x", "metric": "ops", "before": 1.0, "after": 2.0, "improvement": 1.0}
+        ]
+        validate_document(frozen)
 
     def test_malformed_pair(self, wire_document):
         broken = copy.deepcopy(wire_document)
@@ -327,7 +336,7 @@ class TestCli:
         assert (
             main(
                 ["bench", "run", "wire", "--operations", "48", "--values", "32",
-                 "--repetitions", "1", "--warmup", "0", "--no-pairs", "--quiet"]
+                 "--repetitions", "1", "--warmup", "0", "--quiet"]
             )
             == 0
         )

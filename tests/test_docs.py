@@ -46,7 +46,7 @@ def test_every_package_is_documented(document):
 
 def test_architecture_covers_top_level_modules():
     text = _read("docs/ARCHITECTURE.md")
-    for module in ("repro.cli", "repro.exceptions"):
+    for module in ("repro.cli", "repro.exceptions", "repro.loadgen"):
         assert module in text, f"docs/ARCHITECTURE.md does not mention {module}"
 
 
@@ -350,6 +350,13 @@ class TestBenchHarnessDocs:
             assert f"BENCH_{area}.json" in text
         assert "--require-baseline" in text and "--threshold" in text
 
+    @pytest.mark.parametrize("document", ["docs/BENCHMARKS.md", "README.md"])
+    def test_docs_point_at_the_merge_gate(self, document):
+        text = _read(document)
+        assert "BENCHMARK.json" in text and "benchmarks/e2e/README.md" in text
+        assert (REPO_ROOT / "BENCHMARK.json").exists()
+        assert (REPO_ROOT / "benchmarks" / "e2e" / "README.md").exists()
+
     def test_readme_links_benchmarks_doc(self):
         text = _read("README.md")
         assert "docs/BENCHMARKS.md" in text
@@ -361,9 +368,9 @@ class TestBenchHarnessDocs:
         parser = build_parser()
         args = parser.parse_args(
             ["bench", "run", "wire", "--operations", "96", "--values", "64",
-             "--repetitions", "2", "--warmup", "0", "--no-pairs", "--quiet"]
+             "--repetitions", "2", "--warmup", "0", "--quiet"]
         )
-        assert args.area == "wire" and args.repetitions == 2 and args.no_pairs
+        assert args.area == "wire" and args.repetitions == 2
         args = parser.parse_args(
             ["bench", "compare", "a.json", "b.json", "--threshold", "0.75",
              "--require-baseline", "--raw"]

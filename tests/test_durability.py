@@ -42,6 +42,7 @@ import durability_worker as worker
 
 from repro.exceptions import StoreError
 from repro.lsm import QUARANTINE_DIR, SYNC_MODES, LSMEngine, WriteAheadLog
+from repro.oplog import OP_PUT, OpRecord
 from repro.tierbase import TierBase, ZstdDictValueCompressor
 from repro.tierbase.snapshot import SNAPSHOT_MAGIC
 
@@ -233,6 +234,10 @@ def test_acknowledged_put_survives_sigkill_immediately_after_ack(tmp_path):
         engine.close()
 
 
+def _put(lsn: int, key: str, value: str) -> OpRecord:
+    return OpRecord(lsn=lsn, op=OP_PUT, key=key, value=value.encode("utf-8"))
+
+
 class TestWalSyncModes:
     def test_invalid_sync_mode_rejected(self, tmp_path):
         with pytest.raises(StoreError):
@@ -244,7 +249,7 @@ class TestWalSyncModes:
 
     def test_flush_mode_leaves_no_userspace_buffer(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "wal.log", sync_mode="flush")
-        wal.append_put("key", "value")
+        wal.append([_put(1, "key", "value")])
         # read through the filesystem *without* flushing the writer: the
         # record must already be out of the userspace buffer.
         assert (tmp_path / "wal.log").stat().st_size > 0
@@ -252,7 +257,7 @@ class TestWalSyncModes:
 
     def test_none_mode_may_buffer(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "wal.log", sync_mode="none")
-        wal.append_put("key", "value")
+        wal.append([_put(1, "key", "value")])
         assert (tmp_path / "wal.log").stat().st_size == 0  # still buffered
         wal.sync()
         assert (tmp_path / "wal.log").stat().st_size > 0
@@ -264,7 +269,7 @@ class TestWalSyncModes:
         monkeypatch.setattr(os, "fsync", lambda fd: (calls.append(fd), real_fsync(fd)))
         wal = WriteAheadLog(tmp_path / "wal.log", sync_mode="fsync")
         for n in range(5):
-            wal.append_put(f"k{n}", "v")
+            wal.append([_put(n + 1, f"k{n}", "v")])
         assert len(calls) == 5
         wal.close()
 
@@ -276,7 +281,7 @@ class TestWalSyncModes:
             tmp_path / "wal.log", sync_mode="fsync", fsync_interval_bytes=1 << 20
         )
         for n in range(50):
-            wal.append_put(f"k{n}", "v" * 20)
+            wal.append([_put(n + 1, f"k{n}", "v" * 20)])
         assert calls == []  # group commit: nothing reached the interval yet
         wal.sync()
         assert len(calls) == 1

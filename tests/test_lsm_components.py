@@ -6,6 +6,11 @@ from hypothesis import given, settings, strategies as st
 from repro.exceptions import StoreError
 from repro.lsm import TOMBSTONE, BloomFilter, MemTable, WriteAheadLog
 from repro.lsm.wal import OP_DELETE, OP_PUT
+from repro.oplog import OpRecord
+
+
+def put_record(lsn: int, key: str, value: str) -> OpRecord:
+    return OpRecord(lsn=lsn, op=OP_PUT, key=key, value=value.encode("utf-8"))
 
 
 class TestBloomFilter:
@@ -135,9 +140,8 @@ class TestMemTable:
 class TestWriteAheadLog:
     def test_replay_returns_appended_operations(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "wal.log")
-        wal.append_put("alpha", "1")
-        wal.append_delete("beta")
-        wal.append_put("gamma", "3")
+        wal.append([put_record(1, "alpha", "1")])
+        wal.append([OpRecord(lsn=2, op=OP_DELETE, key="beta"), put_record(3, "gamma", "3")])
         wal.close()
         replayed = list(WriteAheadLog(tmp_path / "wal.log").replay())
         assert replayed == [(OP_PUT, "alpha", "1"), (OP_DELETE, "beta", ""), (OP_PUT, "gamma", "3")]
@@ -150,7 +154,7 @@ class TestWriteAheadLog:
 
     def test_reset_truncates_the_log(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "wal.log")
-        wal.append_put("key", "value")
+        wal.append([put_record(1, "key", "value")])
         wal.reset()
         assert list(wal.replay()) == []
         assert wal.size_bytes == 0
@@ -159,8 +163,8 @@ class TestWriteAheadLog:
     def test_replay_stops_at_corrupt_tail(self, tmp_path):
         path = tmp_path / "wal.log"
         wal = WriteAheadLog(path)
-        wal.append_put("good", "entry")
-        wal.append_put("second", "entry")
+        wal.append([put_record(1, "good", "entry")])
+        wal.append([put_record(2, "second", "entry")])
         wal.close()
         # Flip a byte inside the second entry's body to corrupt its checksum.
         data = bytearray(path.read_bytes())
@@ -172,8 +176,7 @@ class TestWriteAheadLog:
     def test_replay_stops_at_truncated_tail(self, tmp_path):
         path = tmp_path / "wal.log"
         wal = WriteAheadLog(path)
-        wal.append_put("good", "entry")
-        wal.append_put("torn", "entry")
+        wal.append([put_record(1, "good", "entry"), put_record(2, "torn", "entry")])
         wal.close()
         data = path.read_bytes()
         path.write_bytes(data[: len(data) - 3])
@@ -184,11 +187,11 @@ class TestWriteAheadLog:
         wal = WriteAheadLog(tmp_path / "wal.log")
         wal.close()
         with pytest.raises(StoreError):
-            wal.append_put("key", "value")
+            wal.append([put_record(1, "key", "value")])
 
     def test_unicode_keys_and_values_roundtrip(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "wal.log")
-        wal.append_put("clé", "värde-值")
+        wal.append([put_record(1, "clé", "värde-值")])
         wal.close()
         assert list(WriteAheadLog(tmp_path / "wal.log").replay()) == [(OP_PUT, "clé", "värde-值")]
 
@@ -202,8 +205,8 @@ class TestWriteAheadLog:
     def test_replay_property(self, tmp_path_factory, operations):
         path = tmp_path_factory.mktemp("wal") / "wal.log"
         wal = WriteAheadLog(path)
-        for key, value in operations:
-            wal.append_put(key, value)
+        for lsn, (key, value) in enumerate(operations, start=1):
+            wal.append([put_record(lsn, key, value)])
         wal.close()
         replayed = list(WriteAheadLog(path).replay())
         assert replayed == [(OP_PUT, key, value) for key, value in operations]

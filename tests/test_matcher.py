@@ -1,8 +1,34 @@
 """Tests for the multi-pattern matcher (Hyperscan substitute)."""
 
 from repro.core.encoders import IntEncoder, VarcharEncoder
-from repro.core.matcher import MultiPatternMatcher
+from repro.core.matcher import MultiPatternMatcher, _CompiledPattern
 from repro.core.pattern import Pattern, PatternDictionary
+
+
+class LinearScanMatcher:
+    """Reference oracle: the original matcher loop, every compiled pattern
+    prefiltered per record, longest first (no candidate index, no memo).
+
+    Shares :class:`repro.core.matcher._CompiledPattern` with the live matcher
+    so the per-candidate regex/prefilter is identical — the equivalence check
+    isolates exactly what the optimization changed (candidate selection).
+    """
+
+    def __init__(self, dictionary) -> None:
+        self._compiled = sorted(
+            (_CompiledPattern(pattern) for pattern in dictionary),
+            key=lambda compiled: compiled.literal_size,
+            reverse=True,
+        )
+
+    def match(self, record: str):
+        for compiled in self._compiled:
+            if not compiled.prefilter(record):
+                continue
+            result = compiled.match(record)
+            if result is not None:
+                return result
+        return None
 
 
 def build_dictionary() -> PatternDictionary:
@@ -101,14 +127,13 @@ class TestCandidateIndexAndMemo:
 
     def test_candidate_index_agrees_with_linear_scan(self):
         """The bucket index must select the same longest pattern as the
-        original prefilter-every-pattern loop (kept in bench.hotpaths)."""
+        original prefilter-every-pattern loop (``LinearScanMatcher`` above)."""
         from repro import PBCCompressor
-        from repro.bench.hotpaths import LegacyMatcher
         from repro.datasets import load_dataset
 
         sample = load_dataset("hdfs", count=128, seed=7)
         dictionary = PBCCompressor().train(sample).dictionary
-        legacy = LegacyMatcher(dictionary)
+        legacy = LinearScanMatcher(dictionary)
         current = MultiPatternMatcher(dictionary, memo_entries=0)
         probes = load_dataset("hdfs", count=64, seed=11) + ["", "zzz no match", sample[0] * 2]
         for record in probes:

@@ -18,7 +18,8 @@ import time
 import pytest
 
 from repro.exceptions import LimitExceededError, RateLimitedError, RemoteError
-from repro.net import KVClient, ServerConfig, ThreadedKVServer, run_open_loop_workload
+from repro.loadgen import default_keys, mixed_operation, per_worker, preload, run_load
+from repro.net import KVClient, ServerConfig, ThreadedKVServer
 from repro.obs import parse_text
 from repro.service import KVService, ServiceConfig
 
@@ -33,6 +34,17 @@ def _serve(config: ServerConfig):
     threaded = ThreadedKVServer(service, config)
     threaded.start()
     return service, threaded
+
+
+def _open_loop(host: str, port: int, values, rate: float, operations: int, workers: int,
+               preloaded: bool = True):
+    """Single-key GET/SET frames on the open-loop timetable, one client per worker."""
+    keys = default_keys(len(values))
+    operation, calls = mixed_operation(keys, values, operations)
+    with per_worker(lambda: KVClient(host, port, pool_size=1, timeout=WAIT)) as connect:
+        if preloaded:
+            preload(connect(), keys, values)
+        return run_load(connect, operation, calls, workers, rate=rate)
 
 
 def _rejections(host: str, port: int) -> dict[tuple[str, str], float]:
@@ -72,9 +84,9 @@ class TestBoundedQueue:
             sampler = threading.Thread(target=sample, name="gauge-sampler")
             sampler.start()
             try:
-                result = run_open_loop_workload(
+                result = _open_loop(
                     host, port, make_template_records(64), rate=20_000.0,
-                    operations=4000, workers=workers, timeout=WAIT,
+                    operations=4000, workers=workers,
                 )
             finally:
                 stop.set()
@@ -136,9 +148,8 @@ class TestRateLimit:
         service, server = _serve(ServerConfig(port=0, rate_limit=20.0, rate_burst=5))
         try:
             host, port = server.address
-            result = run_open_loop_workload(
-                host, port, ["v"], rate=2000.0, operations=400,
-                workers=2, preload=False, timeout=WAIT,
+            result = _open_loop(
+                host, port, ["v"], rate=2000.0, operations=400, workers=2, preloaded=False,
             )
             assert result.errors > 0
             assert result.error_kinds.get("RateLimitedError", 0) == result.errors

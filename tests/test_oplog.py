@@ -461,13 +461,11 @@ class TestEngineLsnSurface:
         reopened.close()
 
     def test_legacy_wal_replays_with_synthesised_lsns(self, tmp_path):
-        engine = LSMEngine(tmp_path)
-        # Write pre-LSN records straight through the legacy WAL API, exactly
-        # what an old binary left on disk.
-        engine._wal.append_put("old1", "1")
-        engine._wal.append_put("old2", "2")
-        engine._wal.sync()
-        engine.close()
+        LSMEngine(tmp_path).close()
+        # Pre-LSN records, byte for byte what an old binary left on disk.
+        (tmp_path / "wal.log").write_bytes(
+            encode_legacy_record(OP_PUT, "old1", "1") + encode_legacy_record(OP_PUT, "old2", "2")
+        )
 
         reopened = LSMEngine(tmp_path)
         assert reopened.recovered_lsn == 2

@@ -192,4 +192,4 @@ class TestSuiteSmoke:
         )
         (result,) = results
         assert result.clean, result.row()
-        assert result.open_loop.errors == 0
+        assert result.load.errors == 0

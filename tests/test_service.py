@@ -8,13 +8,13 @@ import pytest
 
 from repro.datasets import load_dataset
 from repro.exceptions import ServiceError
+from repro.loadgen import default_keys, mixed_operation, preload, run_load
 from repro.service import (
     CompressedLRUCache,
     KVService,
     ServiceConfig,
     ShardRouter,
     make_value_compressor,
-    run_mixed_workload,
 )
 
 from tests.conftest import make_template_records
@@ -229,15 +229,22 @@ class TestConcurrency:
             assert snapshot.sets == workers * per_worker
 
     def test_mixed_workload_driver(self, values):
+        keys = default_keys(len(values))
+        operation, calls = mixed_operation(keys, values, 400, get_fraction=0.6, batch=8)
         with make_service() as service:
-            result = run_mixed_workload(
-                service, values, operations=400, get_fraction=0.6, batch_size=8, clients=2
-            )
+            service.train(values[:64])
+            preload(service, keys, values)
+            result = run_load(lambda: service, operation, calls, workers=2)
             assert result.operations == 400
-            assert result.get_operations + result.set_operations == 400
+            assert result.counts["GET"] + result.counts["SET"] == 400
+            assert result.errors == 0 and result.clean
             assert result.ops_per_second > 0
-            assert result.snapshot.cache.hit_rate > 0.0
-            assert result.snapshot.get_latency.p99_ms >= result.snapshot.get_latency.p50_ms
+            # The workers have joined: the strict quiescent invariants hold.
+            snapshot = service.snapshot().validate()
+            assert snapshot.gets == result.counts["GET"]
+            assert snapshot.sets == len(values) + result.counts["SET"]
+            assert snapshot.cache.hit_rate > 0.0
+            assert snapshot.get_latency.p99_ms >= snapshot.get_latency.p50_ms
 
 
 class TestRetraining:
