@@ -17,7 +17,10 @@ is not reproduced.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
+from itertools import chain, islice
+from operator import add
 from typing import Iterable, Sequence
 
 from repro.compressors.base import Codec, register_codec
@@ -34,12 +37,37 @@ MAX_SYMBOLS = 255
 MAX_SYMBOL_LENGTH = 8
 
 
+def _trie_regex(words: Iterable[bytes]) -> bytes:
+    """Alternation matching the longest of the non-empty ``words`` at a position.
+
+    Words are grouped by first byte, so at most one branch can match; the rest
+    of a branch is optional exactly when a word ends there.  The engine thus
+    walks the input down the trie as far as it goes and backs off to the
+    deepest word end it passed.
+    """
+    tails: dict[int, set[bytes]] = {}
+    for word in words:
+        tails.setdefault(word[0], set()).add(word[1:])
+    branches = []
+    for byte, rests in sorted(tails.items()):
+        branch = b"\\x%02x" % byte
+        if rests != {b""}:
+            branch += _trie_regex(rests - {b""}) + (b"?" if b"" in rests else b"")
+        branches.append(branch)
+    return b"(?:" + b"|".join(branches) + b")"
+
+
 class SymbolTable:
     """A static FSST symbol table: at most 255 byte-string symbols.
 
     The table knows how to encode (greedy longest match per position) and how
     to decode (direct code -> symbol lookup), and can be serialised so that a
     trained table can be stored next to the compressed data.
+
+    The symbols are compiled once into a trie-shaped regular expression whose
+    ``findall`` cuts any input into exactly the greedy-longest tokens (a symbol
+    where one matches, otherwise the single byte), so the per-position search
+    runs inside the ``re`` engine instead of the interpreter.
     """
 
     def __init__(self, symbols: Sequence[bytes] = ()) -> None:
@@ -49,12 +77,17 @@ class SymbolTable:
         for symbol in self.symbols:
             if not symbol or len(symbol) > MAX_SYMBOL_LENGTH:
                 raise ValueError("symbols must be 1-8 bytes long")
-        # Encoding index: first byte -> [(symbol, code)] sorted by length (longest first).
-        self._by_first_byte: dict[int, list[tuple[bytes, int]]] = {}
-        for code, symbol in enumerate(self.symbols):
-            self._by_first_byte.setdefault(symbol[0], []).append((symbol, code))
-        for candidates in self._by_first_byte.values():
-            candidates.sort(key=lambda item: len(item[0]), reverse=True)
+        # tokenize(data) -> [token, ...]; a multi-byte symbol's first byte ends a word too
+        heads = {symbol[:1] for symbol in self.symbols if len(symbol) > 1}
+        words = heads.union(symbol for symbol in self.symbols if symbol[:1] in heads)
+        pattern = (_trie_regex(words) + b"|" if words else b"") + b"."
+        self.tokenize = re.compile(pattern, re.DOTALL).findall
+        # token -> output bytes.  All 256 escapes exist up front, so encode
+        # never writes to the table (it is shared by shard threads); a symbol
+        # stored twice keeps its lowest code.
+        self._emit = {bytes([byte]): bytes([ESCAPE_CODE, byte]) for byte in range(256)}
+        for code in reversed(range(len(self.symbols))):
+            self._emit[self.symbols[code]] = bytes([code])
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -63,45 +96,23 @@ class SymbolTable:
 
     def encode(self, data: bytes) -> bytes:
         """Encode ``data`` with greedy longest-symbol matching."""
-        out = bytearray()
-        position = 0
-        length = len(data)
-        by_first = self._by_first_byte
-        while position < length:
-            candidates = by_first.get(data[position])
-            matched = False
-            if candidates:
-                for symbol, code in candidates:
-                    end = position + len(symbol)
-                    if data[position:end] == symbol:
-                        out.append(code)
-                        position = end
-                        matched = True
-                        break
-            if not matched:
-                out.append(ESCAPE_CODE)
-                out.append(data[position])
-                position += 1
-        return bytes(out)
+        return b"".join(map(self._emit.__getitem__, self.tokenize(data)))
 
     def decode(self, data: bytes) -> bytes:
         """Invert :meth:`encode`."""
         out = bytearray()
-        position = 0
-        length = len(data)
         symbols = self.symbols
-        while position < length:
-            code = data[position]
-            position += 1
-            if code == ESCAPE_CODE:
-                if position >= length:
-                    raise DecodingError("truncated FSST escape sequence")
-                out.append(data[position])
-                position += 1
-                continue
-            if code >= len(symbols):
-                raise DecodingError(f"FSST code {code} outside symbol table")
-            out += symbols[code]
+        codes = iter(data)
+        try:
+            for code in codes:
+                if code == ESCAPE_CODE:
+                    out.append(next(codes))
+                else:
+                    out += symbols[code]
+        except StopIteration:
+            raise DecodingError("truncated FSST escape sequence") from None
+        except IndexError:
+            raise DecodingError(f"FSST code {code} outside symbol table") from None
         return bytes(out)
 
     # ------------------------------------------------------------- persistence
@@ -162,41 +173,16 @@ def train_symbol_table(
     )
 
     for _ in range(max(1, generations)):
-        symbol_counts: Counter = Counter()
-        pair_counts: Counter = Counter()
-        previous_symbol: bytes | None = None
-        position = 0
-        length = len(sample)
-        by_first = table._by_first_byte
-        while position < length:
-            candidates = by_first.get(sample[position])
-            current: bytes
-            if candidates:
-                for symbol, _code in candidates:
-                    end = position + len(symbol)
-                    if sample[position:end] == symbol:
-                        current = symbol
-                        position = end
-                        break
-                else:
-                    current = sample[position : position + 1]
-                    position += 1
-            else:
-                current = sample[position : position + 1]
-                position += 1
-            symbol_counts[current] += 1
-            if previous_symbol is not None:
-                combined_length = len(previous_symbol) + len(current)
-                if combined_length <= MAX_SYMBOL_LENGTH:
-                    pair_counts[previous_symbol + current] += 1
-            previous_symbol = current
+        tokens = table.tokenize(sample)
+        # Counter keeps first-seen order, which is how most_common breaks ties.
+        symbol_counts = Counter(tokens)
+        pair_counts = Counter(map(add, tokens, islice(tokens, 1, None)))
 
+        # Gain of keeping a symbol: bytes saved relative to escaping every byte.
         candidates_gain: Counter = Counter()
-        for symbol, count in symbol_counts.items():
-            # Gain of keeping the symbol: bytes saved relative to escaping every byte.
-            candidates_gain[symbol] = count * (2 * len(symbol) - 1)
-        for symbol, count in pair_counts.items():
-            candidates_gain[symbol] += count * (2 * len(symbol) - 1)
+        for symbol, count in chain(symbol_counts.items(), pair_counts.items()):
+            if len(symbol) <= MAX_SYMBOL_LENGTH:
+                candidates_gain[symbol] += count * (2 * len(symbol) - 1)
         best = [symbol for symbol, _gain in candidates_gain.most_common(max_symbols)]
         table = SymbolTable(best)
 

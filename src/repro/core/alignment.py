@@ -22,20 +22,21 @@ Two implementations are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, islice
+from operator import ne
 from typing import Sequence
 
 from repro.core.encoders import select_encoder
 from repro.core.pattern import WILDCARD, collapse_wildcards
 
-#: state "type" flags of Algorithm 1: the previous token was kept in the pattern
-#: or was turned into residual subsequence data.
-IS_PATTERN = 0
-IS_RS = 1
+# traceback moves; x and y are False and True because a row's moves are read off
+# as ``score != from_x`` (equal scores prefer x), then its pattern cells marked.
+_FROM_X = 0
+_FROM_Y = 1
+_FROM_DIAGONAL = 2
 
-# traceback moves
-_FROM_DIAGONAL = 0
-_FROM_X = 1
-_FROM_Y = 2
+#: compares unequal to every token, so a wildcard row never keeps a character
+_NO_MATCH = object()
 
 
 @dataclass(frozen=True)
@@ -53,24 +54,48 @@ class MergeResult:
         yield self.tokens
 
 
-def _update_state(state: int, state_type: int, new_is_wildcard: bool, size_own: int, size_other: int) -> int:
-    """Algorithm 2 (UpdateState) — cost of turning one more token into residual data.
+def _next_row(
+    previous: list, previous_pattern: dict, token_x, x_step: int, weight: int,
+    tokens_y: Sequence, y_costs: list, both_step: int,
+) -> tuple[list, dict, list]:
+    """One row of Algorithm 1, with Algorithm 2 (UpdateState) folded in.
 
-    ``size_own`` is the size of the cluster the consumed token belongs to and
-    ``size_other`` the size of the other cluster.  When the previous position was
-    still part of the pattern (``IS_PATTERN``) a new field is opened, which costs
-    one length descriptor per record of the *merged* cluster.  A literal character
-    adds one payload byte per record of its own cluster, while consuming a
-    wildcard releases the descriptors that were already accounted for when the
-    own cluster's pattern was built.
+    A cell is either *residual* (its last token went to the residual
+    subsequence) or *pattern* (its last token was kept).  Turning one more
+    token into residual data costs the token itself (``x_step`` / ``y_costs``:
+    one payload byte per record of its own cluster for a literal, the release
+    of an already-paid descriptor for a wildcard) and, when it leaves a pattern
+    cell, ``both_step`` for the new field's length descriptor in every record
+    of the merged cluster.  Rows therefore hold each cell's *leaving* score
+    (score plus ``both_step`` for a pattern cell), which is all a neighbour
+    needs; the few pattern cells keep their own score in a ``{j: score}`` dict
+    for the diagonal step.  Returns the row, its pattern cells and ``from_x``,
+    every cell's score had it been reached by consuming ``token_x``.
     """
-    if state_type == IS_PATTERN:
-        state += size_own + size_other
-    if not new_is_wildcard:
-        state += size_own
-    else:
-        state -= size_own
-    return state
+    if token_x is WILDCARD:
+        token_x, x_step = _NO_MATCH, -x_step
+    from_x = [value + x_step for value in previous]
+    left = from_x[0]
+    row = [left]
+    pattern: dict = {}
+    append = row.append
+    for token_y, up, y_cost in zip(tokens_y, islice(from_x, 1, None), y_costs):
+        left += y_cost
+        if up < left:
+            left = up
+        if token_y == token_x:
+            # The character can be kept at no extra cost; on ties keeping wins,
+            # then x over y (equal scores, so only the move differs).
+            j = len(row)
+            diagonal = previous_pattern.get(j - 1)
+            if diagonal is None:
+                diagonal = previous[j - 1]
+            diagonal -= weight
+            if diagonal <= left:
+                pattern[j] = diagonal
+                left = diagonal + both_step
+        append(left)
+    return row, pattern, from_x
 
 
 def monotonic_merge(
@@ -98,8 +123,6 @@ def monotonic_merge(
     """
     n = len(tokens_x)
     m = len(tokens_y)
-    width = m + 1
-    size_both = size_x + size_y
 
     # The DP optimises lexicographically: primary key is the encoding-length
     # increment, secondary key (as a tie-breaker) is a weighted count of kept
@@ -109,87 +132,33 @@ def monotonic_merge(
     # field (hurting encoder specialisation), whereas keeping a separator marks
     # a real field boundary.  Both keys are folded into one integer score
     # ``EL * scale - kept_weight`` with ``scale`` larger than any possible
-    # weight total, which keeps the inner loop to simple integer comparisons.
+    # weight total, which keeps the inner loop to simple integer comparisons
+    # and lets the increment be read back as ``ceil(score / scale)``.
     scale = 4 * (n + m) + 2
     x_step = size_x * scale
     y_step = size_y * scale
-    both_step = size_both * scale
+    both_step = (size_x + size_y) * scale
 
-    # Flat tables for speed; index = i * width + j.
-    score = [0] * ((n + 1) * width)
-    kept = [0] * ((n + 1) * width)
-    state_type = [IS_PATTERN] * ((n + 1) * width)
-    move = [_FROM_DIAGONAL] * ((n + 1) * width)
+    # Row 0: consuming a prefix of one pattern alone turns it into residuals.
+    y_costs = [-y_step if token is WILDCARD else y_step for token in tokens_y]
+    row = list(accumulate(y_costs, initial=both_step))
+    pattern = {0: 0}
+    # One byte per cell, rows of m + 1; a pattern cell is a _FROM_DIAGONAL one.
+    move = bytearray([_FROM_DIAGONAL]) + bytes([_FROM_Y]) * m
+    for token_x in tokens_x:
+        weight = 0 if token_x is WILDCARD else 1 if token_x.isalnum() else 4
+        row, pattern, from_x = _next_row(row, pattern, token_x, x_step, weight, tokens_y, y_costs, both_step)
+        moves = bytearray(map(ne, row, from_x))
+        for j in pattern:
+            moves[j] = _FROM_DIAGONAL
+        move += moves
 
-    # Initialisation: consuming a prefix of one pattern alone turns it into residuals.
-    for i in range(1, n + 1):
-        index = i * width
-        previous = index - width
-        value = score[previous]
-        if state_type[previous] == IS_PATTERN:
-            value += both_step
-        value += x_step if tokens_x[i - 1] is not WILDCARD else -x_step
-        state_type[index] = IS_RS
-        score[index] = value
-        move[index] = _FROM_X
-    for j in range(1, m + 1):
-        previous = j - 1
-        value = score[previous]
-        if state_type[previous] == IS_PATTERN:
-            value += both_step
-        value += y_step if tokens_y[j - 1] is not WILDCARD else -y_step
-        state_type[j] = IS_RS
-        score[j] = value
-        move[j] = _FROM_Y
-
-    for i in range(1, n + 1):
-        token_x = tokens_x[i - 1]
-        x_is_wildcard = token_x is WILDCARD
-        x_cost = -x_step if x_is_wildcard else x_step
-        row = i * width
-        previous_row = row - width
-        for j in range(1, m + 1):
-            token_y = tokens_y[j - 1]
-            index = row + j
-            up = previous_row + j
-            left = index - 1
-            diagonal = previous_row + j - 1
-
-            from_x = score[up] + x_cost
-            if state_type[up] == IS_PATTERN:
-                from_x += both_step
-            from_y = score[left] + (-y_step if token_y is WILDCARD else y_step)
-            if state_type[left] == IS_PATTERN:
-                from_y += both_step
-
-            if token_x == token_y and not x_is_wildcard:
-                # The character can be kept in the merged pattern at no extra
-                # cost; the weight rewards the kept literal in the tie-break term.
-                weight = 1 if token_x.isalnum() else 4
-                best = score[diagonal] - weight
-                best_move = _FROM_DIAGONAL
-                best_type = IS_PATTERN
-                best_kept = kept[diagonal] + weight
-                if from_x < best:
-                    best, best_move, best_type, best_kept = from_x, _FROM_X, IS_RS, kept[up]
-                if from_y < best:
-                    best, best_move, best_type, best_kept = from_y, _FROM_Y, IS_RS, kept[left]
-            else:
-                best, best_move, best_type, best_kept = from_x, _FROM_X, IS_RS, kept[up]
-                if from_y < best:
-                    best, best_move, best_type, best_kept = from_y, _FROM_Y, IS_RS, kept[left]
-            score[index] = best
-            kept[index] = best_kept
-            state_type[index] = best_type
-            move[index] = best_move
-
-    tokens = _traceback(tokens_x, tokens_y, move, width, n, m)
-    final = n * width + m
-    increment = (score[final] + kept[final]) // scale
+    tokens = _traceback(tokens_x, tokens_y, move, m + 1, n, m)
+    increment = -(-pattern.get(m, row[m]) // scale)
     return MergeResult(increment=increment, tokens=tokens)
 
 
-def _traceback(tokens_x: Sequence, tokens_y: Sequence, move: list, width: int, n: int, m: int) -> list:
+def _traceback(tokens_x: Sequence, tokens_y: Sequence, move: bytearray, width: int, n: int, m: int) -> list:
     """Recover the merged pattern from the traceback table."""
     tokens: list = []
     i, j = n, m
@@ -216,61 +185,43 @@ def merge_increment_bounded(
     exceeds ``bound`` (step 3 of the Section 5.1 pruning strategy).
 
     Returns the increment, or ``None`` if the computation was pruned.  No
-    traceback information is kept, which makes this variant the cheap primitive
-    used while scanning for the closest cluster pair.
+    traceback information is kept and no literal-count tie-break is applied,
+    which makes this variant the cheap primitive used while scanning for the
+    closest cluster pair.
     """
-    n = len(tokens_x)
-    m = len(tokens_y)
-    width = m + 1
-    size_both = size_x + size_y
-
-    previous_state = [0] * width
-    previous_type = [IS_PATTERN] * width
-    for j in range(1, m + 1):
-        value = previous_state[j - 1]
-        if previous_type[j - 1] == IS_PATTERN:
-            value += size_both
-        value += -size_y if tokens_y[j - 1] is WILDCARD else size_y
-        previous_state[j] = value
-        previous_type[j] = IS_RS
-
-    y_costs = [-size_y if token is WILDCARD else size_y for token in tokens_y]
-
-    for i in range(1, n + 1):
-        token_x = tokens_x[i - 1]
-        x_is_wildcard = token_x is WILDCARD
-        x_cost = -size_x if x_is_wildcard else size_x
-        current_state = [0] * width
-        current_type = [IS_RS] * width
-        value = previous_state[0] + x_cost
-        if previous_type[0] == IS_PATTERN:
-            value += size_both
-        current_state[0] = value
-        row_minimum = value
-        for j in range(1, m + 1):
-            from_x = previous_state[j] + x_cost
-            if previous_type[j] == IS_PATTERN:
-                from_x += size_both
-            from_y = current_state[j - 1] + y_costs[j - 1]
-            if current_type[j - 1] == IS_PATTERN:
-                from_y += size_both
-            if token_x == tokens_y[j - 1] and not x_is_wildcard:
-                best = previous_state[j - 1]
-                best_type = IS_PATTERN
-                if from_x < best:
-                    best, best_type = from_x, IS_RS
-                if from_y < best:
-                    best, best_type = from_y, IS_RS
-            else:
-                best, best_type = (from_x, IS_RS) if from_x <= from_y else (from_y, IS_RS)
-            current_state[j] = best
-            current_type[j] = best_type
-            if best < row_minimum:
-                row_minimum = best
-        if row_minimum > bound:
+    for increment, peak in _bounded_rows(tokens_x, tokens_y, size_x, size_y):
+        if peak > bound:
             return None
-        previous_state, previous_type = current_state, current_type
-    return previous_state[m]
+    return increment
+
+
+def merge_increment_peak(tokens_x: Sequence, tokens_y: Sequence, size_x: int, size_y: int) -> tuple[int, float]:
+    """The bounded DP run to its end: ``(increment, peak)``.
+
+    :func:`merge_increment_bounded` returns ``None`` under every bound below
+    ``peak`` (the highest row minimum) and ``increment`` under every other, so
+    one call answers all later bounds for an unchanged pair of clusters.
+    """
+    for increment, peak in _bounded_rows(tokens_x, tokens_y, size_x, size_y):
+        pass
+    return increment, peak
+
+
+def _bounded_rows(tokens_x: Sequence, tokens_y: Sequence, size_x: int, size_y: int):
+    """Row by row: the last cell's score and the highest row minimum so far
+    (``-inf`` after row 0, which no bound is checked against)."""
+    m = len(tokens_y)
+    size_both = size_x + size_y
+    y_costs = [-size_y if token is WILDCARD else size_y for token in tokens_y]
+    row = list(accumulate(y_costs, initial=size_both))
+    pattern = {0: 0}
+    peak = float("-inf")
+    yield pattern.get(m, row[m]), peak
+    for token_x in tokens_x:
+        row, pattern, _from_x = _next_row(row, pattern, token_x, size_x, 0, tokens_y, y_costs, size_both)
+        # a pattern cell's own score lies below the leaving score ``row`` holds
+        peak = max(peak, min(min(row), min(pattern.values(), default=row[0])))
+        yield pattern.get(m, row[m]), peak
 
 
 def generic_merge(

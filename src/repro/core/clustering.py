@@ -24,7 +24,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.core.alignment import merge_increment_bounded, monotonic_merge
+from repro.core.alignment import merge_increment_bounded, merge_increment_peak, monotonic_merge
 from repro.core.criteria import ClusterState, EncodingLengthCriterion, MergeCriterion
 from repro.core.distance import one_gram_distance_counters, symbol_counter
 from repro.core.pattern import WILDCARD, tokens_from_string
@@ -81,6 +81,47 @@ class ClusteringStats:
             "pair_evaluations": self.pair_evaluations,
             "elapsed_seconds": self.elapsed_seconds,
         }
+
+
+class _PairMemo:
+    """What earlier rounds learned about a pair of clusters no merge has touched since.
+
+    The bounded DP is abandoned exactly under bounds below its *peak*, the
+    highest row minimum, which does not depend on the bound: a run that
+    finished under one bound returns the same increment under any larger one,
+    and a run abandoned under one bound is abandoned under any smaller one.
+    """
+
+    __slots__ = ("bound", "score", "finished", "abandoned")
+
+    def __init__(self, bound: float) -> None:
+        self.bound = bound  # the 1-gram lower bound
+        self.score: float | None = None  # criterion.score, without the merged pattern
+        self.finished: tuple[float, int] | None = None  # (a bound it finishes under, increment)
+        self.abandoned: float | None = None  # a bound it is abandoned under
+
+    def increment_under(
+        self, limit: int, cluster_a: ClusterState, cluster_b: ClusterState, stats: ClusteringStats
+    ) -> int | None:
+        """What ``merge_increment_bounded(..., limit)`` returns, running a DP only when needed."""
+        if self.finished is not None and self.finished[0] <= limit:
+            return self.finished[1]
+        if self.abandoned is not None and limit <= self.abandoned:
+            return None
+        stats.dp_calls += 1
+        pair = (cluster_a.tokens, cluster_b.tokens, cluster_a.size, cluster_b.size)
+        if self.finished is None and self.abandoned is None:
+            increment = merge_increment_bounded(*pair, limit)
+            if increment is None:
+                self.abandoned = limit
+            else:
+                self.finished = (limit, increment)
+            return increment
+        # A second question the first run cannot answer: run to the end once,
+        # and the peak answers every bound from now on.
+        increment, peak = merge_increment_peak(*pair)
+        self.finished, self.abandoned = (peak, increment), peak - 1
+        return increment if peak <= limit else None
 
 
 @dataclass
@@ -209,12 +250,17 @@ class AgglomerativeClusterer:
                 self._merge_into(retained, best_index, extra, stats)
             clusters = retained
 
+        # Pairs are remembered by their clusters' first members, which a merge
+        # never changes; a merge forgets every pair it touched.
+        memo: dict[tuple[int, int], _PairMemo] = {}
         while len(clusters) > self.target_clusters:
-            pair = self._closest_pair(clusters, stats)
+            pair = self._closest_pair(clusters, stats, memo)
             if pair is None:
                 break
             index_a, index_b, merged_tokens = pair
+            touched = {clusters[index_a].members[0], clusters[index_b].members[0]}
             self._merge_pair(clusters, index_a, index_b, merged_tokens)
+            memo = {key: known for key, known in memo.items() if touched.isdisjoint(key)}
             stats.merges += 1
 
         stats.final_clusters = len(clusters)
@@ -224,7 +270,7 @@ class AgglomerativeClusterer:
     # ----------------------------------------------------------------- helpers
 
     def _closest_pair(
-        self, clusters: list[ClusterState], stats: ClusteringStats
+        self, clusters: list[ClusterState], stats: ClusteringStats, memo: dict[tuple[int, int], _PairMemo]
     ) -> tuple[int, int, list] | None:
         """Find the cluster pair with minimal criterion score (with pruning).
 
@@ -233,43 +279,57 @@ class AgglomerativeClusterer:
         tight after the first few exact evaluations and the remaining pairs are
         either skipped outright (bound already above the minimum) or abandoned
         early inside the bounded DP — the Section 5.1 strategy.
+
+        A bound or DP outcome is a function of the two clusters alone, so
+        ``memo`` carries them from round to round and only pairs that touch
+        the last merged cluster are evaluated again; every decision, and so the
+        merge sequence, is the one a from-scratch evaluation makes.
+        ``stats.dp_calls`` counts the DPs actually run.
         """
         best_score: float | None = None
         best: tuple[int, int, list] | None = None
         use_bound = self.use_pruning and self.criterion.supports_bounded_search()
-        count = len(clusters)
-        pairs = [(index_a, index_b) for index_a in range(count) for index_b in range(index_a + 1, count)]
+        pairs: list[tuple[int, int, _PairMemo]] = []
+        for index_a, cluster_a in enumerate(clusters):
+            for index_b in range(index_a + 1, len(clusters)):
+                cluster_b = clusters[index_b]
+                key = (cluster_a.members[0], cluster_b.members[0])
+                known = memo.get(key)
+                if known is None:
+                    bound = self.criterion.lower_bound(cluster_a, cluster_b) if use_bound else 0.0
+                    known = memo[key] = _PairMemo(bound)
+                pairs.append((index_a, index_b, known))
         if use_bound:
-            bounds = {
-                (index_a, index_b): self.criterion.lower_bound(clusters[index_a], clusters[index_b])
-                for index_a, index_b in pairs
-            }
-            pairs.sort(key=bounds.__getitem__)
-        for index_a, index_b in pairs:
+            pairs.sort(key=lambda pair: pair[2].bound)
+        for index_a, index_b, known in pairs:
             cluster_a = clusters[index_a]
             cluster_b = clusters[index_b]
             stats.pair_evaluations += 1
             if best_score is not None and use_bound:
-                if bounds[(index_a, index_b)] > best_score:
+                if known.bound > best_score:
                     stats.dp_pruned_by_bound += 1
                     continue
-                pruned = merge_increment_bounded(
-                    cluster_a.tokens, cluster_b.tokens, cluster_a.size, cluster_b.size, int(best_score)
-                )
-                stats.dp_calls += 1
+                pruned = known.increment_under(int(best_score), cluster_a, cluster_b, stats)
                 if pruned is None:
                     stats.dp_pruned_by_early_exit += 1
                     continue
                 if pruned >= best_score:
                     continue
-                # Recompute with traceback only for the new best candidate.
-                score, merged_tokens = self.criterion.score(cluster_a, cluster_b)
-            else:
-                score, merged_tokens = self.criterion.score(cluster_a, cluster_b)
+            # With pruning the traceback DP runs only for the first pair and for
+            # a new best.  Only its score is remembered: a merged pattern per
+            # pair would be quadratic in memory.
+            merged_tokens = None
+            if known.score is None:
+                known.score, merged_tokens = self.criterion.score(cluster_a, cluster_b)
                 stats.dp_calls += 1
-            if best_score is None or score < best_score:
-                best_score = score
+            if best_score is None or known.score < best_score:
+                best_score = known.score
                 best = (index_a, index_b, merged_tokens)
+        if best is not None and best[2] is None:
+            index_a, index_b, _ = best
+            _score, merged_tokens = self.criterion.score(clusters[index_a], clusters[index_b])
+            stats.dp_calls += 1
+            best = (index_a, index_b, merged_tokens)
         return best
 
     def _merge_pair(self, clusters: list[ClusterState], index_a: int, index_b: int, merged_tokens: list) -> None:

@@ -145,10 +145,7 @@ class Pattern:
                 f"pattern {self.pattern_id} expects {self.field_count} fields, "
                 f"got {len(field_values)}"
             )
-        out = bytearray()
-        for encoder, value in zip(self.encoders, field_values):
-            out += encoder.encode(value)
-        return bytes(out)
+        return b"".join([encoder.encode(value) for encoder, value in zip(self.encoders, field_values)])
 
     def decode_fields(self, data: bytes, offset: int = 0) -> tuple[list[str], int]:
         """Decode all field values; returns ``(values, next_offset)``."""

@@ -9,8 +9,14 @@ from __future__ import annotations
 from repro.exceptions import DecodingError, EncodingError
 
 
+#: the one-byte varints; lengths, pattern ids and small fields rarely need more
+_SINGLE_BYTE = [bytes([value]) for value in range(0x80)]
+
+
 def encode_uvarint(value: int) -> bytes:
     """Encode a non-negative integer as an LEB128 varint."""
+    if 0 <= value < 0x80:
+        return _SINGLE_BYTE[value]
     if value < 0:
         raise EncodingError("uvarint cannot encode negative values")
     out = bytearray()

@@ -2,13 +2,71 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.alignment import generic_merge, merge_increment_bounded, monotonic_merge
+from repro.core.alignment import (
+    generic_merge,
+    merge_increment_bounded,
+    merge_increment_peak,
+    monotonic_merge,
+)
 from repro.core.distance import one_gram_distance
-from repro.core.pattern import WILDCARD, tokens_from_string, tokens_to_display
+from repro.core.pattern import WILDCARD, collapse_wildcards, tokens_from_string, tokens_to_display
 
 
 def merge_strings(left: str, right: str, size_x: int = 1, size_y: int = 1):
     return monotonic_merge(tokens_from_string(left), tokens_from_string(right), size_x, size_y)
+
+
+def reference_merge(tokens_x, tokens_y, size_x, size_y, bound=None):
+    """Oracle: Algorithms 1-2 with one explicit table per quantity.
+
+    Every cell stores its encoding-length increment, the weight of the literals
+    kept so far, whether its last token was kept (``pattern``) and the move that
+    reached it; cells are compared as ``(increment, -kept)``.  With ``bound`` it
+    is the bounded variant: no literal weights, and ``None`` as soon as a whole
+    row exceeds ``bound``.  Returns ``(increment, merged tokens)``.
+    """
+    n, m = len(tokens_x), len(tokens_y)
+    size_both = size_x + size_y
+
+    def residual(cell, token, size_own):
+        """Algorithm 2: one more token of a cluster of ``size_own`` becomes residual data."""
+        increment, kept, pattern, _move = cell
+        if pattern:
+            increment += size_both  # a new field: one length descriptor per merged record
+        increment += -size_own if token is WILDCARD else size_own
+        return increment, kept
+
+    table = [[None] * (m + 1) for _ in range(n + 1)]
+    table[0][0] = (0, 0, True, None)
+    for i in range(n + 1):
+        for j in range(m + 1):
+            if i == 0 and j == 0:
+                continue
+            candidates = []  # in tie-break order: keep, then x, then y
+            if i and j and tokens_x[i - 1] == tokens_y[j - 1] and tokens_x[i - 1] is not WILDCARD:
+                increment, kept, _pattern, _move = table[i - 1][j - 1]
+                weight = 0 if bound is not None else 1 if tokens_x[i - 1].isalnum() else 4
+                candidates.append((increment, kept + weight, True, "keep"))
+            if i:
+                candidates.append((*residual(table[i - 1][j], tokens_x[i - 1], size_x), False, "x"))
+            if j:
+                candidates.append((*residual(table[i][j - 1], tokens_y[j - 1], size_y), False, "y"))
+            table[i][j] = min(candidates, key=lambda cell: (cell[0], -cell[1]))
+        if bound is not None and i and min(cell[0] for cell in table[i]) > bound:
+            return None, None
+
+    tokens = []
+    i, j = n, m
+    while i or j:
+        move = table[i][j][3]
+        tokens.append(tokens_x[i - 1] if move == "keep" else WILDCARD)
+        i -= move != "y"
+        j -= move != "x"
+    return table[n][m][0], collapse_wildcards(reversed(tokens))
+
+
+token_sequences = st.lists(st.sampled_from(["a", "b", "1", ":", "-", WILDCARD]), max_size=14)
+cluster_sizes = st.integers(min_value=1, max_value=6)
 
 
 class TestMonotonicMerge:
@@ -120,6 +178,59 @@ class TestBoundedMerge:
         full = monotonic_merge(tokens_x, tokens_y, size_x, size_y)
         bounded = merge_increment_bounded(tokens_x, tokens_y, size_x, size_y, bound=10**9)
         assert bounded == full.increment
+
+
+class TestAgainstReference:
+    """The production DPs keep rolling rows and a byte-per-cell move table; the
+    oracle keeps everything, so any divergence in a tie-break shows here."""
+
+    @given(token_sequences, token_sequences, cluster_sizes, cluster_sizes)
+    @settings(max_examples=150, deadline=None)
+    def test_monotonic_merge_matches_reference(self, tokens_x, tokens_y, size_x, size_y):
+        result = monotonic_merge(tokens_x, tokens_y, size_x, size_y)
+        assert (result.increment, result.tokens) == reference_merge(tokens_x, tokens_y, size_x, size_y)
+
+    @given(
+        token_sequences,
+        token_sequences,
+        cluster_sizes,
+        cluster_sizes,
+        st.one_of(st.just(10**9), st.integers(min_value=-10, max_value=80)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bounded_merge_matches_reference(self, tokens_x, tokens_y, size_x, size_y, bound):
+        # Same value and the same pruning decision: a pair abandoned at the
+        # parent must be abandoned now, or the clustering merge order moves.
+        increment, _tokens = reference_merge(tokens_x, tokens_y, size_x, size_y, bound=bound)
+        assert merge_increment_bounded(tokens_x, tokens_y, size_x, size_y, bound) == increment
+
+    @given(token_sequences, token_sequences, cluster_sizes, cluster_sizes, st.integers(min_value=-10, max_value=80))
+    @settings(max_examples=150, deadline=None)
+    def test_peak_answers_every_bound(self, tokens_x, tokens_y, size_x, size_y, bound):
+        # What the clustering loop's pair memo rests on: one run to the end
+        # tells what the bounded DP returns under any bound.
+        increment, peak = merge_increment_peak(tokens_x, tokens_y, size_x, size_y)
+        expected = None if peak > bound else increment
+        assert merge_increment_bounded(tokens_x, tokens_y, size_x, size_y, bound) == expected
+        assert reference_merge(tokens_x, tokens_y, size_x, size_y, bound=bound)[0] == expected
+
+    def test_long_real_records_match_reference(self):
+        left = 'key=usr_000187 {"uid": 187, "name": "user187", "tags": ["a", "b"], "score": 41.5}'
+        right = 'key=usr_004410 {"uid": 4410, "name": "user4410", "tags": [], "score": 7.25}'
+        tokens_x, tokens_y = tokens_from_string(left), tokens_from_string(right)
+        result = monotonic_merge(tokens_x, tokens_y, 3, 1)
+        assert (result.increment, result.tokens) == reference_merge(tokens_x, tokens_y, 3, 1)
+        again = monotonic_merge(result.tokens, tokens_y, 4, 1)
+        assert (again.increment, again.tokens) == reference_merge(result.tokens, tokens_y, 4, 1)
+
+    def test_bounded_and_full_increment_can_differ(self):
+        # Both DPs keep one state per cell and break ties differently (the full
+        # one prefers kept literals), so the bounded increment is not always the
+        # full one: about 1 random pair in 7000.  Pinned so a change is noticed.
+        tokens_x = ["a", WILDCARD, "b", "a", "a", "b", WILDCARD, "a", "b", "b", "b"]
+        tokens_y = [WILDCARD, "a", "b", "a", "a"]
+        assert monotonic_merge(tokens_x, tokens_y, 1, 5).increment == 16
+        assert merge_increment_bounded(tokens_x, tokens_y, 1, 5, bound=10**9) == 22
 
 
 class TestGenericMerge:

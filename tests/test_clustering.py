@@ -5,6 +5,7 @@ import pytest
 from repro.core.clustering import AgglomerativeClusterer, record_signature
 from repro.core.criteria import make_criterion
 from repro.core.pattern import WILDCARD, tokens_to_display
+from repro.datasets import load_dataset
 from repro.exceptions import ClusteringError
 
 
@@ -111,3 +112,35 @@ class TestClustering:
         assert result.stats.merges == 22
         assert result.stats.elapsed_seconds >= 0
         assert isinstance(result.stats.as_dict(), dict)
+
+
+class FromScratchClusterer(AgglomerativeClusterer):
+    """Oracle: forgets everything between rounds, so every round evaluates every pair."""
+
+    def _closest_pair(self, clusters, stats, memo):
+        return super()._closest_pair(clusters, stats, {})
+
+
+class TestPairMemo:
+    """Remembering untouched pairs across rounds must not move a single decision."""
+
+    @pytest.mark.parametrize(
+        "dataset, criterion, use_pruning",
+        [("kv1", "el", True), ("kv1", "el", False), ("kv1", "entropy", False), ("apache", "el", True)],
+    )
+    def test_same_merges_and_pruning_decisions_as_from_scratch(self, dataset, criterion, use_pruning):
+        records = list(load_dataset(dataset, count=14))
+        options = dict(
+            target_clusters=3, criterion=make_criterion(criterion), use_pruning=use_pruning, pre_group=False
+        )
+        remembered = AgglomerativeClusterer(**options).cluster(records)
+        scratch = FromScratchClusterer(**options).cluster(records)
+
+        describe = lambda result: [(cluster.members, cluster.tokens, cluster.size) for cluster in result.clusters]
+        assert describe(remembered) == describe(scratch)
+        decisions = ("merges", "pair_evaluations", "dp_pruned_by_bound", "dp_pruned_by_early_exit")
+        assert [getattr(remembered.stats, name) for name in decisions] == [
+            getattr(scratch.stats, name) for name in decisions
+        ]
+        # dp_calls counts DPs actually run: only for pairs touching the last merge.
+        assert remembered.stats.dp_calls < scratch.stats.dp_calls
