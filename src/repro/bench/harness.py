@@ -528,9 +528,7 @@ def _profile_matcher() -> Callable[[], None]:
     dictionary = PBCCompressor().train(load_dataset("hdfs", count=512, seed=7)).dictionary
     population = load_dataset("hdfs", count=256, seed=11)
     workload = [population[index % len(population)] for index in range(8000)]
-    # memo off, so the profile shows the real prefilter/regex work rather
-    # than 99% memo hits.
-    matcher = MultiPatternMatcher(dictionary, memo_entries=0)
+    matcher = MultiPatternMatcher(dictionary)
 
     def run() -> None:
         for record in workload:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from abc import ABC
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.entropy.varint import decode_uvarint, encode_uvarint
 from repro.exceptions import CodecError, StreamFormatError
@@ -152,8 +152,9 @@ class Codec(ABC):
         once per model epoch and reuse the coder on every record, so codecs
         whose model is expensive to deserialise (PBC dictionaries, FSST
         tables, Zstd prefixes) override this to pay that cost once instead of
-        per record.  The returned object only needs ``compress(str) -> bytes``
-        and ``decompress(bytes) -> str``.
+        per record.  The returned object only needs ``compress(str) -> bytes``,
+        ``compress_many(records) -> list[bytes]`` (the write path's batch
+        entry point) and ``decompress(bytes) -> str``.
         """
         return RecordCoder(self, model_payload)
 
@@ -184,6 +185,9 @@ class RecordCoder:
 
     def compress(self, record: str) -> bytes:
         return self.codec.encode_record(record, self.model_payload)
+
+    def compress_many(self, records: Iterable[str]) -> list[bytes]:
+        return [self.compress(record) for record in records]
 
     def decompress(self, data: bytes) -> str:
         return self.codec.decode_record(data, self.model_payload)

@@ -21,15 +21,15 @@ import gzip
 import hashlib
 import lzma
 import threading
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.codecs.base import Codec
 from repro.codecs.registry import register_codec
 from repro.compressors.fsst import FSSTCodec, SymbolTable, train_symbol_table
 from repro.compressors.zstdlike import ZstdLikeCodec, train_dictionary
-from repro.core.compressor import PBCCompressor, PBCFCompressor
+from repro.core.compressor import OUTLIER_PREFIX, PBCCompressor, PBCFCompressor
 from repro.core.extraction import ExtractionConfig
-from repro.core.pattern import OUTLIER_PATTERN_ID, PatternDictionary
+from repro.core.pattern import PatternDictionary
 from repro.entropy.varint import decode_uvarint, encode_uvarint
 from repro.exceptions import MissingModelError, StreamFormatError
 
@@ -204,18 +204,13 @@ class PBCCodec(Codec):
         return _cached_compressor(self.codec_id, model_payload, self._compressor)
 
     def encode(self, records: Sequence[str], model_payload: bytes = b"") -> tuple[bytes, int]:
-        compressor = self._cached(model_payload)
-        stats = compressor.enable_stats(timed=False)
-        try:
-            payloads = [compressor.compress(record) for record in records]
-        finally:
-            compressor.disable_stats()
+        payloads = self._cached(model_payload).compress_many(records)
         body = bytearray()
         body += encode_uvarint(len(payloads))
         for payload in payloads:
             body += encode_uvarint(len(payload))
             body += payload
-        return bytes(body), stats.outliers
+        return bytes(body), sum(map(self.record_is_outlier, payloads))
 
     def decode(self, body: bytes, model_payload: bytes = b"") -> list[str]:
         compressor = self._cached(model_payload)
@@ -241,7 +236,7 @@ class PBCCodec(Codec):
     def record_is_outlier(self, payload: bytes) -> bool:
         # The pattern-id varint prefix is never post-processed (PBC_F applies
         # FSST only to the field payload), so this check covers both variants.
-        return bool(payload) and decode_uvarint(payload, 0)[0] == OUTLIER_PATTERN_ID
+        return payload.startswith(OUTLIER_PREFIX)
 
 
 class PBCFCodec(PBCCodec):
@@ -285,6 +280,9 @@ class _BoundByteCoder:
 
     def compress(self, record: str) -> bytes:
         return self.codec.compress(record.encode("utf-8"))
+
+    def compress_many(self, records: Iterable[str]) -> list[bytes]:
+        return [self.compress(record) for record in records]
 
     def decompress(self, data: bytes) -> str:
         return self.codec.decompress(data).decode("utf-8")

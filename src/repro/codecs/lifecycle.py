@@ -52,11 +52,11 @@ class DriftMonitor:
             return 1.0
         return self.stored_bytes / self.original_bytes
 
-    def observe(self, original_size: int, stored_size: int) -> None:
-        """Record one write."""
+    def observe(self, original_size: int, stored_size: int, values: int = 1) -> None:
+        """Record ``values`` writes totalling the given sizes."""
         self.original_bytes += original_size
         self.stored_bytes += stored_size
-        self.values_seen += 1
+        self.values_seen += values
 
     def needs_retraining(self, outlier_rate: float = 0.0) -> bool:
         """Whether the monitored signals crossed their thresholds."""
@@ -109,8 +109,8 @@ class DriftWindow:
 class ModelLifecycle:
     """Reservoir sampling + drift monitoring + retrain triggering, in one place.
 
-    The owner calls :meth:`observe` on every write (feeding both the monitor
-    and the sliding reservoir of recent values), asks :meth:`needs_retrain`
+    The owner calls :meth:`observe_many` on every write batch (feeding both the
+    monitor and the sliding reservoir of recent values), asks :meth:`needs_retrain`
     after write batches, and calls :meth:`retrain` with the codec's train
     function when drift is flagged.  The reservoir is a sliding window of the
     most recent values, so the retrained model reflects the drifted workload
@@ -138,10 +138,11 @@ class ModelLifecycle:
         #: never trained); feeds the ``model_epoch_age_seconds`` shard gauge.
         self.trained_at: float | None = None
 
-    def observe(self, value: str, original_size: int, stored_size: int) -> None:
-        """Record one write: monitor counters plus the retraining reservoir."""
-        self.monitor.observe(original_size, stored_size)
-        self.reservoir.append(value)
+    def observe_many(self, values: Sequence[str], original_bytes: int, stored_bytes: int) -> None:
+        """Record a write batch (sizes are the batch totals): monitor counters
+        plus the retraining reservoir, in write order."""
+        self.monitor.observe(original_bytes, stored_bytes, len(values))
+        self.reservoir.extend(values)
 
     def needs_retrain(self, outlier_rate: float = 0.0) -> bool:
         """Whether the drift monitor recommends retraining."""

@@ -150,12 +150,12 @@ class ModelStore:
 
     # ------------------------------------------------------- payload lifetimes
 
-    def acquire(self, epoch: int) -> None:
-        """Record one live payload written at ``epoch``."""
-        if epoch == 0:
+    def acquire(self, epoch: int, count: int = 1) -> None:
+        """Record ``count`` live payloads written at ``epoch``."""
+        if epoch == 0 or count <= 0:
             return
         with self._lock:
-            self._refs[epoch] = self._refs.get(epoch, 0) + 1
+            self._refs[epoch] = self._refs.get(epoch, 0) + count
 
     def release(self, epoch: int) -> None:
         """Drop one live-payload reference; prunes the epoch at zero.
@@ -324,9 +324,14 @@ class VersionedCodec:
 
     def compress_record(self, value: str) -> bytes:
         """Encode one record, stamped with the current epoch."""
+        return self.compress_records((value,))[1][0]
+
+    def compress_records(self, values: Sequence[str]) -> tuple[int, list[bytes]]:
+        """Encode a batch at the current epoch: ``(epoch, stamped payloads)``;
+        model, coder and header are resolved once for the whole batch."""
         model = self.models.current
-        body = self.encode_body(value, model)
-        return stamp_payload(self.codec.codec_id, model.epoch, body)
+        header = stamp_payload(self.codec.codec_id, model.epoch, b"")
+        return model.epoch, [header + body for body in self.encode_bodies(values, model)]
 
     def decompress_record(self, data: bytes) -> str:
         """Decode a stamped record payload with the exact model that wrote it."""
@@ -357,14 +362,14 @@ class VersionedCodec:
             self._coders[model.epoch] = coder
         return coder
 
-    def encode_body(self, value: str, model: VersionedModel | None = None) -> bytes:
-        """Headerless record body at ``model`` (default: current epoch)."""
+    def encode_bodies(self, values: Sequence[str], model: VersionedModel | None = None) -> list[bytes]:
+        """Headerless record bodies at ``model`` (default: current epoch);
+        a batch that fails to encode counts nothing towards :attr:`outlier_rate`."""
         model = model if model is not None else self.models.current
-        body = self._coder_for(model).compress(value)
-        self._records += 1
-        if self.codec.record_is_outlier(body):
-            self._outliers += 1
-        return body
+        bodies = self._coder_for(model).compress_many(values)
+        self._records += len(bodies)
+        self._outliers += sum(map(self.codec.record_is_outlier, bodies))
+        return bodies
 
     def decode_body(self, body: bytes, epoch: int) -> str:
         """Decode a headerless record body written at ``epoch``."""

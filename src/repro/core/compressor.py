@@ -32,6 +32,9 @@ from repro.core.pattern import OUTLIER_PATTERN_ID, PatternDictionary
 from repro.entropy.varint import decode_uvarint, encode_uvarint
 from repro.exceptions import CompressorError, DecodingError
 
+#: What every outlier payload, and no other, starts with (``uvarint(0)``).
+OUTLIER_PREFIX = encode_uvarint(OUTLIER_PATTERN_ID)
+
 
 @dataclass
 class CompressionStats:
@@ -181,36 +184,44 @@ class PBCCompressor:
         return payload
 
     def compress(self, record: str) -> bytes:
-        """Compress a single record."""
-        stats = self._stats
-        if stats is None:
-            return self._compress_record(record)
-        # Timing is opt-in: the default live-stats path costs two counter
-        # updates and no clock calls (see :meth:`enable_stats`).
-        started = time.perf_counter() if self._stats_timed else 0.0
-        outliers_before = self._seen_outliers
-        payload = self._compress_record(record)
-        if self._stats_timed:
-            stats.compress_seconds += time.perf_counter() - started
-        stats.records += 1
-        stats.original_bytes += len(record.encode("utf-8"))
-        stats.compressed_bytes += len(payload)
-        if self._seen_outliers != outliers_before:
-            stats.outliers += 1
-        return payload
+        """Compress a single record (the one-record :meth:`compress_many`)."""
+        return self.compress_many((record,))[0]
 
-    def _compress_record(self, record: str) -> bytes:
+    def compress_many(self, records: Iterable[str]) -> list[bytes]:
+        """Compress records, one payload per record — the one compression loop.
+        Live stats (:meth:`enable_stats`) are updated once per call."""
         self._require_trained()
-        assert self._matcher is not None
-        match = self._matcher.match(record)
-        self._seen_records += 1
-        if match is None:
-            self._seen_outliers += 1
-            self._maybe_retrain()
-            raw = self._encode_payload(record.encode("utf-8"))
-            return encode_uvarint(OUTLIER_PATTERN_ID) + raw
-        payload = match.pattern.encode_fields(match.field_values)
-        return encode_uvarint(match.pattern.pattern_id) + self._encode_payload(payload)
+        stats = self._stats
+        if stats is not None:
+            records = list(records)
+            started = time.perf_counter() if self._stats_timed else 0.0
+        match = self._matcher.match
+        encode_payload = self._encode_payload
+        payloads: list[bytes] = []
+        append = payloads.append
+        for record in records:
+            matched = match(record)
+            self._seen_records += 1
+            if matched is None:
+                self._seen_outliers += 1
+                self._maybe_retrain()
+                # The retrain callback may have installed a new dictionary.
+                match = self._matcher.match
+                append(OUTLIER_PREFIX + encode_payload(record.encode("utf-8")))
+            else:
+                pattern, field_values = matched
+                append(
+                    encode_uvarint(pattern.pattern_id)
+                    + encode_payload(pattern.encode_fields(field_values))
+                )
+        if stats is not None:
+            if self._stats_timed:
+                stats.compress_seconds += time.perf_counter() - started
+            stats.records += len(payloads)
+            stats.original_bytes += sum(len(record.encode("utf-8")) for record in records)
+            stats.compressed_bytes += sum(map(len, payloads))
+            stats.outliers += sum(payload.startswith(OUTLIER_PREFIX) for payload in payloads)
+        return payloads
 
     def decompress(self, data: bytes) -> str:
         """Decompress a single record."""
@@ -260,10 +271,6 @@ class PBCCompressor:
 
     # ------------------------------------------------------------- bulk paths
 
-    def compress_many(self, records: Iterable[str]) -> list[bytes]:
-        """Compress an iterable of records, one payload per record."""
-        return [self.compress(record) for record in records]
-
     def decompress_many(self, payloads: Iterable[bytes]) -> list[str]:
         """Decompress a list of per-record payloads."""
         return [self.decompress(payload) for payload in payloads]
@@ -273,7 +280,7 @@ class PBCCompressor:
         self._require_trained()
         stats = CompressionStats()
         started = time.perf_counter()
-        payloads = [self.compress(record) for record in records]
+        payloads = self.compress_many(records)
         stats.compress_seconds = time.perf_counter() - started
         started = time.perf_counter()
         restored = [self.decompress(payload) for payload in payloads]
@@ -284,7 +291,7 @@ class PBCCompressor:
             stats.records += 1
             stats.original_bytes += len(record.encode("utf-8"))
             stats.compressed_bytes += len(payload)
-            if payload and decode_uvarint(payload, 0)[0] == OUTLIER_PATTERN_ID:
+            if payload.startswith(OUTLIER_PREFIX):
                 stats.outliers += 1
         return stats
 
@@ -436,8 +443,7 @@ class PBCBlockCompressor:
         """Compress a block of records into one opaque payload."""
         buffer = bytearray()
         buffer += encode_uvarint(len(records))
-        for record in records:
-            payload = self.pbc.compress(record)
+        for payload in self.pbc.compress_many(records):
             buffer += encode_uvarint(len(payload))
             buffer += payload
         return self.block_codec.compress(bytes(buffer))

@@ -117,12 +117,13 @@ class Pattern:
         return "".join(parts)
 
     def to_regex(self) -> str:
-        """Anchored regex with one capture group per field."""
+        """Anchored regex with one capture group per field (ending in ``\\Z``:
+        ``$`` also matches before a trailing newline, which would be dropped)."""
         parts = ["^", re.escape(self.literals[0])]
         for encoder, segment in zip(self.encoders, self.literals[1:]):
             parts.append(encoder.regex_fragment())
             parts.append(re.escape(segment))
-        parts.append("$")
+        parts.append(r"\Z")
         return "".join(parts)
 
     def reconstruct(self, field_values: Sequence[str]) -> str:

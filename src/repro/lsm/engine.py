@@ -422,14 +422,14 @@ class LSMEngine:
             return self._oplog.last_lsn
         with self._lock:
             epoch = self._current_epoch()
-            records = self._oplog.append_many(
+            lsn = self._oplog.append_many(
                 [(OP_PUT, key, value.encode("utf-8"), epoch) for key, value in items]
             )
             for key, value in items:
                 self._memtable.put(key, value)
             self._maybe_flush()
         self._admission_control()
-        return records[-1].lsn
+        return lsn
 
     def _maybe_flush(self) -> None:
         if self._memtable.approximate_bytes >= self.memtable_bytes:

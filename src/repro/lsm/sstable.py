@@ -118,9 +118,11 @@ class StoragePolicy(ABC):
 
 
 def _encode_entries(
-    entries: Sequence[tuple[str, str | None]], encode_value
+    entries: Sequence[tuple[str, str | None]], encode_values
 ) -> bytes:
-    """Shared entry serialisation: key, flag byte, encoded value."""
+    """Shared entry serialisation: key, flag byte, encoded value
+    (``encode_values``: the block's live values to their stored bytes, one call)."""
+    encoded = iter(encode_values([value for _, value in entries if value is not None]))
     out = bytearray()
     out += encode_uvarint(len(entries))
     for key, value in entries:
@@ -131,10 +133,14 @@ def _encode_entries(
             out.append(_FLAG_TOMBSTONE)
             continue
         out.append(_FLAG_VALUE)
-        value_bytes = encode_value(value)
+        value_bytes = next(encoded)
         out += encode_uvarint(len(value_bytes))
         out += value_bytes
     return bytes(out)
+
+
+def _utf8_values(values: Sequence[str]) -> list[bytes]:
+    return [value.encode("utf-8") for value in values]
 
 
 def _decode_entries(payload: bytes, decode_value) -> Iterator[tuple[str, str | None]]:
@@ -162,7 +168,7 @@ class PlainPolicy(StoragePolicy):
     policy_kind = POLICY_KIND_PLAIN
 
     def encode_block(self, entries: Sequence[tuple[str, str | None]]) -> bytes:
-        return _encode_entries(entries, lambda value: value.encode("utf-8"))
+        return _encode_entries(entries, _utf8_values)
 
     def iter_block(self, payload: bytes) -> Iterator[tuple[str, str | None]]:
         return _decode_entries(payload, lambda value_bytes: value_bytes.decode("utf-8"))
@@ -178,7 +184,7 @@ class BlockCompressionPolicy(StoragePolicy):
         self.name = f"block[{codec.name}]"
 
     def encode_block(self, entries: Sequence[tuple[str, str | None]]) -> bytes:
-        raw = _encode_entries(entries, lambda value: value.encode("utf-8"))
+        raw = _encode_entries(entries, _utf8_values)
         return self.codec.compress(raw)
 
     def iter_block(self, payload: bytes) -> Iterator[tuple[str, str | None]]:
@@ -226,7 +232,7 @@ class RecordCompressionPolicy(StoragePolicy):
         # the ValueCompressor base class supplies the epoch surface for them.
         epoch = self.compressor.current_epoch
         body = _encode_entries(
-            entries, lambda value: self.compressor.compress_at(value, epoch)
+            entries, lambda values: self.compressor.compress_many_at(values, epoch)
         )
         return bytes(encode_uvarint(epoch)) + body
 

@@ -88,25 +88,26 @@ class OperationLog:
                 sink.append((record,))
             return record
 
-    def append_many(
-        self, operations: Sequence[tuple[int, str, bytes, int]]
-    ) -> list[OpRecord]:
-        """Sequence a batch of ``(op, key, value, epoch)`` with consecutive LSNs.
+    def append_many(self, operations: Sequence[tuple[int, str, bytes, int]]) -> int:
+        """Sequence a batch of ``(op, key, value, epoch)`` with consecutive LSNs;
+        returns the batch's last LSN (the current one for an empty batch).
 
         The whole batch is delivered to each sink in one call, so the durable
-        sink pays a single write + durability barrier for N records.
+        sink pays a single write + durability barrier for N records; with no
+        sink attached only the sequence advances (nobody would read records).
         """
         if not operations:
-            return []
+            return self.last_lsn
         with self._lock:
             lsns = self._sequencer.next_block(len(operations))
-            records = [
-                OpRecord(lsn=lsn, op=op, key=key, value=value, epoch=epoch)
-                for lsn, (op, key, value, epoch) in zip(lsns, operations)
-            ]
-            for sink in self._sinks:
-                sink.append(records)
-            return records
+            if self._sinks:
+                records = [
+                    OpRecord(lsn=lsn, op=op, key=key, value=value, epoch=epoch)
+                    for lsn, (op, key, value, epoch) in zip(lsns, operations)
+                ]
+                for sink in self._sinks:
+                    sink.append(records)
+            return lsns[-1]
 
     # ------------------------------------------------------------------ sinks
 

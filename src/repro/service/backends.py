@@ -89,20 +89,16 @@ class ShardBackend(ABC):
     def train(self, sample_values: Sequence[str]) -> None:
         """Offline-train this shard's value compressor."""
 
-    @abstractmethod
     def set(self, key: str, value: str) -> int:
-        """Insert or overwrite ``key``; returns the assigned LSN."""
+        """Insert or overwrite ``key`` (the one-item batch); returns the LSN."""
+        return self.set_many(((key, value),))
 
+    @abstractmethod
     def set_many(self, items: Sequence[tuple[str, str]]) -> int:
-        """Insert/overwrite a batch; returns the batch's **last** LSN.
-
-        Backends with a batched write path (LSM: one WAL buffer, one
-        durability barrier) override this; the default is a per-item loop
-        with identical semantics."""
-        lsn = self.last_applied()
-        for key, value in items:
-            lsn = self.set(key, value)
-        return lsn
+        """Insert/overwrite a batch; returns the batch's **last** LSN (the
+        current LSN for an empty batch).  The batch is compressed once, logged
+        once (one WAL buffer, one durability barrier) and applied once — or
+        not at all when one of its values fails to compress."""
 
     @abstractmethod
     def last_applied(self) -> int:
@@ -248,9 +244,9 @@ class TierBaseShard(ShardBackend):
         self.store.train(sample_values)
         self._dirty = True
 
-    def set(self, key: str, value: str) -> int:
-        lsn = self.store.set(key, value)
-        self._dirty = True
+    def set_many(self, items: Sequence[tuple[str, str]]) -> int:
+        lsn = self.store.set_many(items)
+        self._dirty = self._dirty or bool(items)
         return lsn
 
     def last_applied(self) -> int:
@@ -427,22 +423,18 @@ class LSMShard(ShardBackend):
         self.lifecycle.mark_trained()
         self._save_models()
 
-    def set(self, key: str, value: str) -> int:
-        payload = self.compressor.compress(value)
-        self.lifecycle.observe(value, len(value.encode("utf-8")), len(payload))
-        lsn = self.engine.put(key, value)
-        self._sets += 1
-        return lsn
-
     def set_many(self, items: Sequence[tuple[str, str]]) -> int:
-        # One WAL buffer + one durability barrier + one flush check for the
-        # whole batch (vs per-item in the default loop); the drift monitor
-        # still observes every value.
-        for _, value in items:
-            payload = self.compressor.compress(value)
-            self.lifecycle.observe(value, len(value.encode("utf-8")), len(payload))
+        # Compressed only to feed the drift monitor (the cold levels compress
+        # again later) — and first, so a failing value fails the whole batch.
+        values = [value for _, value in items]
+        _, payloads = self.compressor.compress_many(values)
+        self.lifecycle.observe_many(
+            values,
+            sum(len(value.encode("utf-8")) for value in values),
+            sum(map(len, payloads)),
+        )
         lsn = self.engine.put_many(items)
-        self._sets += len(items)
+        self._sets += len(values)
         return lsn
 
     def last_applied(self) -> int:

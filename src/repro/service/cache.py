@@ -22,6 +22,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.exceptions import ServiceError
 
@@ -103,13 +104,19 @@ class CompressedLRUCache:
 
     def invalidate(self, key: str) -> bool:
         """Drop ``key`` (after an overwrite or delete); returns whether it was cached."""
+        return self.invalidate_many((key,)) > 0
+
+    def invalidate_many(self, keys: Iterable[str]) -> int:
+        """Drop a write batch's keys under one lock acquisition; returns the hits."""
+        dropped = 0
         with self._lock:
-            payload = self._entries.pop(key, None)
-            if payload is None:
-                return False
-            self._bytes -= len(payload)
-            self._invalidations += 1
-            return True
+            for key in keys:
+                payload = self._entries.pop(key, None)
+                if payload is not None:
+                    self._bytes -= len(payload)
+                    dropped += 1
+            self._invalidations += dropped
+        return dropped
 
     def clear(self) -> None:
         """Drop every entry.

@@ -249,15 +249,12 @@ class KVService:
     # --------------------------------------------------------------- shard tasks
 
     def _shard_set(self, shard: _Shard, items: Sequence[tuple[str, str]]) -> int:
-        # backend.set_many feeds the lifecycle reservoir + drift monitor per
-        # value, and batched backends (LSM) pay one WAL durability barrier
-        # for the whole batch instead of one per record.
+        # One batch: compressed, logged (one WAL durability barrier), applied
+        # and observed by the lifecycle reservoir + drift monitor once.
         lsn = shard.backend.set_many(items)
-        for key, _ in items:
-            # Invalidate inside the shard task: reads of this shard are
-            # serialised with us, so no reader can re-cache the old payload
-            # after this point.
-            self.cache.invalidate(key)
+        # Invalidate inside the shard task: reads of this shard are serialised
+        # with us, so no reader can re-cache an old payload after this point.
+        self.cache.invalidate_many([key for key, _ in items])
         self._maybe_schedule_retrain(shard)
         return lsn
 
@@ -371,7 +368,9 @@ class KVService:
 
         Returns ``{shard_id: last_assigned_lsn}`` for every shard the batch
         touched — the per-shard read-your-writes handles (LSNs are per-shard
-        sequences, so a multi-shard batch has one watermark per shard).
+        sequences, so a multi-shard batch has one watermark per shard).  A
+        value that fails to compress fails its shard's share of the batch
+        whole: that shard applies nothing of it.
         """
         self._require_open()
         if not items:

@@ -6,7 +6,8 @@ after the paper's integration work — optionally PBC_F patterns trained the sam
 way.  The store only sees this small plugin interface:
 
 * ``train(sample_values)`` — offline training on a sample of the workload,
-* ``compress`` / ``decompress`` — per-value transform applied on SET / GET.
+* ``compress_many`` / ``decompress`` — batch transform applied on SET (one
+  epoch, one payload per value; ``compress`` is the one-value batch) / per-value on GET.
 
 Since the :mod:`repro.codecs` refactor every trained compressor is a thin view
 over a :class:`~repro.codecs.VersionedCodec`: training installs a new model
@@ -40,8 +41,13 @@ class ValueCompressor(ABC):
         """Offline training on a sample of the workload's values."""
 
     @abstractmethod
+    def compress_many(self, values: Sequence[str]) -> tuple[int, list[bytes]]:
+        """Compress a batch: ``(epoch, payloads)``, every payload at ``epoch``.
+        Raises, returning nothing, if any value fails to compress."""
+
     def compress(self, value: str) -> bytes:
-        """Compress one value."""
+        """Compress one value (the one-value batch)."""
+        return self.compress_many((value,))[1][0]
 
     @abstractmethod
     def decompress(self, data: bytes) -> str:
@@ -63,22 +69,22 @@ class ValueCompressor(ABC):
         return 0.0
 
     def payload_epoch(self, data: bytes) -> int:
-        """The epoch stamped into a payload produced by :meth:`compress`."""
+        """The epoch stamped into a payload produced by :meth:`compress_many`."""
         del data
         return 0
 
-    def compress_at(self, value: str, epoch: int) -> bytes:
-        """Headerless value body at ``epoch`` (SSTable blocks stamp it once)."""
+    def compress_many_at(self, values: Sequence[str], epoch: int) -> list[bytes]:
+        """Headerless value bodies at ``epoch`` (SSTable blocks stamp it once)."""
         del epoch
-        return self.compress(value)
+        return self.compress_many(values)[1]
 
     def decompress_at(self, data: bytes, epoch: int) -> str:
-        """Invert :meth:`compress_at` for a body written at ``epoch``."""
+        """Invert :meth:`compress_many_at` for a body written at ``epoch``."""
         del epoch
         return self.decompress(data)
 
-    def acquire_epoch(self, epoch: int) -> None:
-        """Record one live payload written at ``epoch`` (retention refcount)."""
+    def acquire_epoch(self, epoch: int, count: int = 1) -> None:
+        """Record ``count`` live payloads written at ``epoch`` (retention refcount)."""
 
     def release_epoch(self, epoch: int) -> None:
         """Drop one live-payload reference (may prune the epoch's model)."""
@@ -100,8 +106,8 @@ class NoopValueCompressor(ValueCompressor):
     def train(self, sample_values: Sequence[str]) -> None:
         return None
 
-    def compress(self, value: str) -> bytes:
-        return value.encode("utf-8")
+    def compress_many(self, values: Sequence[str]) -> tuple[int, list[bytes]]:
+        return 0, [value.encode("utf-8") for value in values]
 
     def decompress(self, data: bytes) -> str:
         return data.decode("utf-8")
@@ -134,8 +140,8 @@ class VersionedValueCompressor(ValueCompressor):
     def train(self, sample_values: Sequence[str]) -> None:
         self.versioned.train(sample_values)
 
-    def compress(self, value: str) -> bytes:
-        return self.versioned.compress_record(value)
+    def compress_many(self, values: Sequence[str]) -> tuple[int, list[bytes]]:
+        return self.versioned.compress_records(values)
 
     def decompress(self, data: bytes) -> str:
         return self.versioned.decompress_record(data)
@@ -153,14 +159,14 @@ class VersionedValueCompressor(ValueCompressor):
     def payload_epoch(self, data: bytes) -> int:
         return payload_epoch(data)
 
-    def compress_at(self, value: str, epoch: int) -> bytes:
-        return self.versioned.encode_body(value, self.versioned.models.get(epoch))
+    def compress_many_at(self, values: Sequence[str], epoch: int) -> list[bytes]:
+        return self.versioned.encode_bodies(values, self.versioned.models.get(epoch))
 
     def decompress_at(self, data: bytes, epoch: int) -> str:
         return self.versioned.decode_body(data, epoch)
 
-    def acquire_epoch(self, epoch: int) -> None:
-        self.versioned.models.acquire(epoch)
+    def acquire_epoch(self, epoch: int, count: int = 1) -> None:
+        self.versioned.models.acquire(epoch, count)
 
     def release_epoch(self, epoch: int) -> None:
         self.versioned.models.release(epoch)

@@ -7,7 +7,8 @@ same compression integration points (docs/ARCHITECTURE.md, substitution 4):
 
 * offline, per-workload training of the value compressor (Zstd dictionary or
   PBC_F patterns) on a sample of values;
-* SET compresses the value, GET decompresses it;
+* SET compresses the value, GET decompresses it — a write batch is compressed
+  once, logged once and applied once (``set`` is the one-item batch);
 * a :class:`~repro.codecs.ModelLifecycle` (reservoir + drift monitor) flags
   the workload for re-training when the compression ratio or the PBC
   unmatched-record rate deteriorates past its threshold.
@@ -116,8 +117,7 @@ class TierBase:
             existing = {key: self.get(key) for key in list(self._data)}
             self._retrain_model(sample_values)
             self._clear_payloads()
-            for key, value in existing.items():
-                self.set(key, value)
+            self.set_many(list(existing.items()))
             return
         self._retrain_model(sample_values)
 
@@ -137,26 +137,39 @@ class TierBase:
     # ------------------------------------------------------------- operations
 
     def set(self, key: str, value: str) -> int:
-        """Store ``value`` under ``key`` (compressed); returns the assigned LSN.
+        """Store ``value`` under ``key`` (compressed); returns the assigned LSN."""
+        return self.set_many(((key, value),))
 
-        The mutation is sequenced through the operation log *as the
-        compressed, epoch-stamped payload*: a subscriber replays exactly the
-        bytes this store keeps, so replication needs no model shipping.
+    def set_many(self, items: Sequence[tuple[str, str]]) -> int:
+        """Store a batch of ``(key, value)``; returns the batch's last LSN
+        (the current LSN for an empty batch).
+
+        The whole batch is compressed *before* anything is mutated, so a value
+        that fails to compress leaves the store, the log, the epoch refcounts
+        and the lifecycle as they were.  The mutations are sequenced through
+        the operation log *as the compressed, epoch-stamped payloads*: a
+        subscriber replays exactly the bytes this store keeps, so replication
+        needs no model shipping.  A key named twice keeps its last value.
         """
-        payload = self.compressor.compress(value)
-        original_size = len(value.encode("utf-8"))
-        epoch = self.compressor.payload_epoch(payload)
-        record = self.oplog.append(OP_PUT, key, payload, epoch)
-        previous = self._epochs.get(key)
-        self.compressor.acquire_epoch(epoch)
-        if previous is not None:
-            self.compressor.release_epoch(previous)
-        self._epochs[key] = epoch
-        self._data[key] = payload
-        self._original_sizes[key] = original_size
-        self._sets += 1
-        self.lifecycle.observe(value, original_size, len(payload))
-        return record.lsn
+        values = [value for _, value in items]
+        epoch, payloads = self.compressor.compress_many(values)
+        lsn = self.oplog.append_many(
+            [(OP_PUT, key, payload, epoch) for (key, _), payload in zip(items, payloads)]
+        )
+        self.compressor.acquire_epoch(epoch, len(payloads))
+        original_bytes = stored_bytes = 0
+        for (key, value), payload in zip(items, payloads):
+            previous = self._epochs.get(key)
+            if previous is not None:
+                self.compressor.release_epoch(previous)
+            self._epochs[key] = epoch
+            self._data[key] = payload
+            self._original_sizes[key] = original_size = len(value.encode("utf-8"))
+            original_bytes += original_size
+            stored_bytes += len(payload)
+        self._sets += len(payloads)
+        self.lifecycle.observe_many(values, original_bytes, stored_bytes)
+        return lsn
 
     def get(self, key: str) -> str:
         """Fetch and decompress the value stored under ``key``."""

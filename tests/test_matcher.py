@@ -1,17 +1,21 @@
 """Tests for the multi-pattern matcher (Hyperscan substitute)."""
 
-from repro.core.encoders import IntEncoder, VarcharEncoder
-from repro.core.matcher import MultiPatternMatcher, _CompiledPattern
+import functools
+
+from hypothesis import given, settings, strategies as st
+
+from repro.core.encoders import CharEncoder, IntEncoder, VarcharEncoder, VarintEncoder
+from repro.core.matcher import MatchResult, MultiPatternMatcher, _CompiledPattern
 from repro.core.pattern import Pattern, PatternDictionary
 
 
 class LinearScanMatcher:
-    """Reference oracle: the original matcher loop, every compiled pattern
-    prefiltered per record, longest first (no candidate index, no memo).
+    """Reference oracle, the definition itself: every pattern's regex tried
+    per record, longest pattern first — no candidate index and no literal
+    prefilter, the two things the live loop adds.
 
     Shares :class:`repro.core.matcher._CompiledPattern` with the live matcher
-    so the per-candidate regex/prefilter is identical — the equivalence check
-    isolates exactly what the optimization changed (candidate selection).
+    so the regexes are identical and the comparison isolates exactly those two.
     """
 
     def __init__(self, dictionary) -> None:
@@ -23,11 +27,9 @@ class LinearScanMatcher:
 
     def match(self, record: str):
         for compiled in self._compiled:
-            if not compiled.prefilter(record):
-                continue
-            result = compiled.match(record)
-            if result is not None:
-                return result
+            matched = compiled.regex.match(record)
+            if matched is not None:
+                return MatchResult(compiled.pattern, matched.groups())
         return None
 
 
@@ -89,52 +91,20 @@ class TestMatching:
         assert match.field_values == ("0042",)
 
 
-class TestCandidateIndexAndMemo:
-    """The PR-8 fast paths (first-char candidate buckets + match memo) must be
-    behaviourally invisible: same winner, same field values, bounded memory."""
-
-    RECORDS = [
-        "foobar", "fooba", "ob", "num=0042", "num=abcd", "zzz",
-        "", "foobarfoobar", "num=0042extra",
-    ]
-
-    def test_memo_on_and_off_agree(self):
-        dictionary = build_dictionary()
-        memoized = MultiPatternMatcher(dictionary)
-        unmemoized = MultiPatternMatcher(dictionary, memo_entries=0)
-        for _ in range(3):  # repeats exercise the memo-hit path
-            for record in self.RECORDS:
-                expected = unmemoized.match(record)
-                actual = memoized.match(record)
-                if expected is None:
-                    assert actual is None, record
-                else:
-                    assert actual is not None, record
-                    assert actual.pattern.pattern_id == expected.pattern.pattern_id
-                    assert actual.field_values == expected.field_values
-
-    def test_memo_is_cleared_at_capacity_not_grown(self):
-        matcher = MultiPatternMatcher(build_dictionary(), memo_entries=4)
-        for index in range(100):
-            matcher.match(f"num={index:04d}")
-        assert len(matcher._memo) <= 4
-
-    def test_memo_disabled_stores_nothing(self):
-        matcher = MultiPatternMatcher(build_dictionary(), memo_entries=0)
-        for record in self.RECORDS:
-            matcher.match(record)
-        assert matcher._memo == {}
+class TestCandidateIndex:
+    """The first-character candidate buckets must be behaviourally invisible:
+    same winner and same field values as the try-every-pattern loop."""
 
     def test_candidate_index_agrees_with_linear_scan(self):
         """The bucket index must select the same longest pattern as the
-        original prefilter-every-pattern loop (``LinearScanMatcher`` above)."""
+        try-every-pattern loop (``LinearScanMatcher`` above)."""
         from repro import PBCCompressor
         from repro.datasets import load_dataset
 
         sample = load_dataset("hdfs", count=128, seed=7)
         dictionary = PBCCompressor().train(sample).dictionary
         legacy = LinearScanMatcher(dictionary)
-        current = MultiPatternMatcher(dictionary, memo_entries=0)
+        current = MultiPatternMatcher(dictionary)
         probes = load_dataset("hdfs", count=64, seed=11) + ["", "zzz no match", sample[0] * 2]
         for record in probes:
             expected = legacy.match(record)
@@ -157,3 +127,65 @@ class TestCandidateIndexAndMemo:
         assert matcher.match("q-mid-q").pattern.pattern_id == 1
         assert matcher.match("pretail").pattern.pattern_id == 2
         assert matcher.match("") is None
+
+
+@functools.lru_cache(maxsize=None)
+def _trained():
+    """``(patterns, oracle, live matcher)`` over one trained hdfs dictionary."""
+    from repro import PBCCompressor
+    from repro.datasets import load_dataset
+
+    dictionary = PBCCompressor().train(load_dataset("hdfs", count=128, seed=7)).dictionary
+    return list(dictionary), LinearScanMatcher(dictionary), MultiPatternMatcher(dictionary)
+
+
+#: Characters for field values and edits: literals of the hdfs patterns, digits,
+#: and what a typed field must reject (non-ASCII digits and letters, newline).
+_ALPHABET = "0123456789abcXYZ _-:./*٣９é\n"
+
+
+@st.composite
+def _near_pattern_records(draw):
+    """A record instantiated from one of the trained patterns — every field
+    filled with a value its encoder accepts — then mutated by at most one
+    insert, delete or substitute; or the empty record."""
+    if draw(st.integers(0, 19)) == 0:
+        return ""
+    pattern = draw(st.sampled_from(_trained()[0]))
+    values = []
+    for encoder in pattern.encoders:
+        if isinstance(encoder, IntEncoder):
+            values.append(draw(st.text("0123456789", min_size=encoder.digits, max_size=encoder.digits)))
+        elif isinstance(encoder, VarintEncoder):
+            values.append(str(draw(st.integers(0, 10**9))))
+        elif isinstance(encoder, CharEncoder):
+            values.append(draw(st.text("abcXYZ09 _", min_size=encoder.length, max_size=encoder.length)))
+        else:
+            values.append(draw(st.text(_ALPHABET, max_size=6)))
+    record = pattern.reconstruct(values)
+    edit = draw(st.sampled_from(("none", "insert", "delete", "substitute")))
+    position = draw(st.integers(0, len(record)))
+    character = draw(st.sampled_from(_ALPHABET))
+    if edit == "insert":
+        record = record[:position] + character + record[position:]
+    elif edit == "delete":
+        record = record[:position] + record[position + 1 :]
+    elif edit == "substitute":
+        record = record[:position] + character + record[position + 1 :]
+    return record
+
+
+class TestAgainstLinearScanOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(record=_near_pattern_records())
+    def test_same_winner_and_field_values(self, record):
+        _, oracle, matcher = _trained()
+        expected = oracle.match(record)
+        actual = matcher.match(record)
+        assert actual == expected
+        if actual is not None:
+            assert actual.pattern.reconstruct(actual.field_values) == record
+            assert all(
+                encoder.can_encode(value)
+                for encoder, value in zip(actual.pattern.encoders, actual.field_values)
+            )

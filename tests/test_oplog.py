@@ -402,8 +402,14 @@ class TestConvergenceProperty:
             elif kind == "delete":
                 store.delete(f"key:{arg}")
             elif kind == "set_many":
-                for offset in range(3):
-                    store.set(f"key:{(arg + offset) % 12}", f"{text}#{offset}")
+                # Every third batch names one key twice: the last value wins.
+                offsets = (0, 1, 0) if arg % 3 == 0 else (0, 1, 2)
+                store.set_many(
+                    [
+                        (f"key:{(arg + offset) % 12}", f"{text}#{position}")
+                        for position, offset in enumerate(offsets)
+                    ]
+                )
             elif kind == "retrain":
                 try:
                     store.retrain(
