@@ -24,7 +24,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 
 @dataclass
@@ -111,10 +111,11 @@ class ModelLifecycle:
 
     The owner calls :meth:`observe_many` on every write batch (feeding both the
     monitor and the sliding reservoir of recent values), asks :meth:`needs_retrain`
-    after write batches, and calls :meth:`retrain` with the codec's train
-    function when drift is flagged.  The reservoir is a sliding window of the
-    most recent values, so the retrained model reflects the drifted workload
-    rather than the one it was originally trained on.
+    after write batches, fits a model to :meth:`sample` when drift is flagged
+    and calls :meth:`mark_trained` once that model is installed.  The reservoir
+    is a sliding window of the most recent values, so the retrained model
+    reflects the drifted workload rather than the one it was originally
+    trained on.
 
     The reservoir and counters are expected to be touched by one writer at a
     time (TierBase instance / shard executor), matching every pre-registry
@@ -152,32 +153,13 @@ class ModelLifecycle:
         """The current retraining sample (most recent values first-in order)."""
         return list(self.reservoir)
 
-    def retrain(
-        self,
-        train: Callable[[Sequence[str]], object],
-        sample_values: Sequence[str] | None = None,
-    ) -> bool:
-        """Run ``train`` on ``sample_values`` (default: the reservoir).
-
-        Returns whether training ran (``False`` on an empty sample).  Resets
-        the monitor counters — and nothing else: with versioned models there
-        are no payloads to rewrite.
-        """
-        sample = list(sample_values) if sample_values is not None else self.sample()
-        if not sample:
-            return False
-        train(sample)
-        self.monitor.reset()
-        self.mark_trained()
-        return True
-
-    def mark_trained(self) -> None:
-        """Stamp the current instant as the active model epoch's install time.
-
-        Owners call this from their *initial* ``train`` path too (which does
-        not go through :meth:`retrain`), so epoch age is meaningful from the
-        first model onward.
-        """
+    def mark_trained(self, retrain: bool = False) -> None:
+        """Stamp the current instant as the active model epoch's install time;
+        a ``retrain`` (not the initial training) also resets the monitor
+        counters — and nothing else: with versioned models there are no
+        payloads to rewrite."""
+        if retrain:
+            self.monitor.reset()
         self.trained_at = time.monotonic()
 
     @property

@@ -282,10 +282,15 @@ class VersionedCodec:
     # ------------------------------------------------------------------ train
 
     def train(self, sample_values: Sequence[str]) -> VersionedModel:
-        """Train a new model epoch; previously written payloads stay decodable."""
+        """Fit a model to the sample (``codec.train``: pure, offline) and
+        :meth:`install` it; previously written payloads stay decodable."""
         sample = list(sample_values)
-        payload = self.codec.train(sample)
-        model = self.models.install(payload, trained_records=len(sample))
+        return self.install(self.codec.train(sample), len(sample))
+
+    def install(self, payload: bytes, trained_records: int = 0) -> VersionedModel:
+        """Make fitted model bytes the current epoch — the only online step of
+        training (O(ms)); the owner serialises it with its writes."""
+        model = self.models.install(payload, trained_records=trained_records)
         self._records = 0
         self._outliers = 0
         return model
@@ -315,7 +320,7 @@ class VersionedCodec:
 
     @property
     def outlier_rate(self) -> float:
-        """Outlier fraction of records encoded since the current epoch."""
+        """Outlier fraction of the records *written* since the current epoch."""
         if self._records == 0:
             return 0.0
         return self._outliers / self._records
@@ -327,11 +332,15 @@ class VersionedCodec:
         return self.compress_records((value,))[1][0]
 
     def compress_records(self, values: Sequence[str]) -> tuple[int, list[bytes]]:
-        """Encode a batch at the current epoch: ``(epoch, stamped payloads)``;
-        model, coder and header are resolved once for the whole batch."""
+        """Encode a write batch at the current epoch: ``(epoch, stamped payloads)``;
+        model, coder and header are resolved once for the whole batch.  The only
+        encode :attr:`outlier_rate` counts (a batch that fails counts nothing)."""
         model = self.models.current
+        bodies = self.encode_bodies(values, model)
+        self._records += len(bodies)
+        self._outliers += sum(map(self.codec.record_is_outlier, bodies))
         header = stamp_payload(self.codec.codec_id, model.epoch, b"")
-        return model.epoch, [header + body for body in self.encode_bodies(values, model)]
+        return model.epoch, [header + body for body in bodies]
 
     def decompress_record(self, data: bytes) -> str:
         """Decode a stamped record payload with the exact model that wrote it."""
@@ -362,14 +371,11 @@ class VersionedCodec:
             self._coders[model.epoch] = coder
         return coder
 
-    def encode_bodies(self, values: Sequence[str], model: VersionedModel | None = None) -> list[bytes]:
-        """Headerless record bodies at ``model`` (default: current epoch);
-        a batch that fails to encode counts nothing towards :attr:`outlier_rate`."""
-        model = model if model is not None else self.models.current
-        bodies = self._coder_for(model).compress_many(values)
-        self._records += len(bodies)
-        self._outliers += sum(map(self.codec.record_is_outlier, bodies))
-        return bodies
+    def encode_bodies(self, values: Sequence[str], model: VersionedModel) -> list[bytes]:
+        """Headerless record bodies at ``model``.  Not counted towards
+        :attr:`outlier_rate`: a read's cache fill and a compaction re-encode
+        values that were counted when they were written."""
+        return self._coder_for(model).compress_many(values)
 
     def decode_body(self, body: bytes, epoch: int) -> str:
         """Decode a headerless record body written at ``epoch``."""

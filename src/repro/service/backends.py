@@ -11,18 +11,15 @@ implementations cover the two storage substrates of the reproduction:
   :class:`~repro.lsm.sstable.RecordCompressionPolicy`, so values are compressed
   per record inside SSTable blocks and point reads decompress one value.
 
-Retraining is epoch-based for both: a new model epoch is installed for future
-writes while every stored payload (TierBase dict entry or cold SSTable block)
-keeps decoding against the epoch stamped into its header.  Neither backend
-rewrites data on retrain any more — the TierBase stop-the-world recompression
-and the LSM rebuild-the-shard path were deleted with the
-:mod:`repro.codecs` refactor (see ``benchmarks/bench_retrain.py`` for the
-before/after cost).
+Training is two steps for both: ``fit`` (sample → model bytes; pure, needs no
+lock) and ``install`` (a new model epoch for future writes).  Every stored
+payload (TierBase dict entry or cold SSTable block) keeps decoding against the
+epoch stamped into its header, so neither backend rewrites data on a retrain.
 
 The compressor menu is enumerated from the codec registry: every trainable
 registered codec is a valid per-shard value compressor, plus ``"none"``.
 Backends are *not* thread-safe on their own; the service serialises every
-mutation of a shard through that shard's single-worker executor.
+access to a shard — ``fit`` excepted — under that shard's lock.
 """
 
 from __future__ import annotations
@@ -86,8 +83,21 @@ class ShardBackend(ABC):
     lifecycle: ModelLifecycle
 
     @abstractmethod
+    def fit(self, sample_values: Sequence[str]) -> bytes:
+        """Offline half of training: the model bytes fitted to a sample.  Pure
+        (reads and changes nothing of the shard): any thread may run it with
+        no shard lock held, and shards configured alike can share one fit."""
+
+    @abstractmethod
+    def install(self, model: bytes, trained_records: int, retrain: bool = False) -> None:
+        """Online half (O(ms), under the shard lock): ``model`` becomes the
+        epoch new writes are stamped with; stored payloads keep decoding
+        against the epoch in their headers.  A ``retrain`` also resets the
+        drift monitor and counts one retrain event."""
+
     def train(self, sample_values: Sequence[str]) -> None:
-        """Offline-train this shard's value compressor."""
+        """Offline-train this shard's value compressor: fit, then install."""
+        self.install(self.fit(sample_values), len(sample_values))
 
     def set(self, key: str, value: str) -> int:
         """Insert or overwrite ``key`` (the one-item batch); returns the LSN."""
@@ -142,9 +152,9 @@ class ShardBackend(ABC):
         implementations see a quiesced store.
         """
 
-    @abstractmethod
     def retrain(self, sample_values: Sequence[str]) -> None:
-        """Install a new model epoch trained on ``sample_values``."""
+        """Fit and install a new model epoch; the caller waits for the fit."""
+        self.install(self.fit(sample_values), len(sample_values), retrain=True)
 
     @abstractmethod
     def snapshot(self, shard_id: int) -> ShardSnapshot:
@@ -240,8 +250,12 @@ class TierBaseShard(ShardBackend):
         self.lifecycle = self.store.lifecycle
         self._retrain_events = 0
 
-    def train(self, sample_values: Sequence[str]) -> None:
-        self.store.train(sample_values)
+    def fit(self, sample_values: Sequence[str]) -> bytes:
+        return self.store.fit(sample_values)
+
+    def install(self, model: bytes, trained_records: int, retrain: bool = False) -> None:
+        self.store.install(model, trained_records, retrain)
+        self._retrain_events += retrain
         self._dirty = True
 
     def set_many(self, items: Sequence[tuple[str, str]]) -> int:
@@ -275,12 +289,6 @@ class TierBaseShard(ShardBackend):
     @property
     def outlier_rate(self) -> float:
         return self.store.compressor.outlier_rate
-
-    def retrain(self, sample_values: Sequence[str]) -> None:
-        # Epoch-based: installs a new model, rewrites nothing, blocks no reads.
-        self.store.retrain(sample_values)
-        self._retrain_events += 1
-        self._dirty = True
 
     def snapshot(self, shard_id: int) -> ShardSnapshot:
         stats = self.store.stats()
@@ -418,10 +426,16 @@ class LSMShard(ShardBackend):
             # complete model store, not a torn models.bin that fails reopen.
             atomic_write_bytes(self._models_path, payload)
 
-    def train(self, sample_values: Sequence[str]) -> None:
-        self.compressor.train(sample_values)
-        self.lifecycle.mark_trained()
+    def fit(self, sample_values: Sequence[str]) -> bytes:
+        return self.compressor.fit(sample_values)
+
+    def install(self, model: bytes, trained_records: int, retrain: bool = False) -> None:
+        # Existing SSTables stay readable: their blocks decode against the
+        # retained epochs stamped into them, so nothing is re-ingested.
+        self.compressor.install(model, trained_records)
+        self.lifecycle.mark_trained(retrain)
         self._save_models()
+        self._retrain_events += retrain
 
     def set_many(self, items: Sequence[tuple[str, str]]) -> int:
         # Compressed only to feed the drift monitor (the cold levels compress
@@ -449,12 +463,13 @@ class LSMShard(ShardBackend):
 
     def fetch(self, key: str) -> tuple[str | None, bytes | None]:
         # The engine already decompressed the value inside the SSTable read;
-        # re-compressing is only for the cache fill, never re-decompressed.
+        # re-compressing is only for the cache fill, never re-decompressed —
+        # and a read, so it must not feed the monitor's write-drift signal.
         self._gets += 1
         value = self.engine.get(key)
         if value is None:
             return None, None
-        return value, self.compressor.compress(value)
+        return value, self.compressor.recompress(value)
 
     def decompress(self, payload: bytes) -> str:
         return self.compressor.decompress(payload)
@@ -472,20 +487,6 @@ class LSMShard(ShardBackend):
     @property
     def outlier_rate(self) -> float:
         return self.compressor.outlier_rate
-
-    def retrain(self, sample_values: Sequence[str]) -> None:
-        """Install a new model epoch; existing SSTables stay readable.
-
-        Pre-registry, this tore the whole shard down and re-ingested every
-        live key because old SSTables were unreadable under the new patterns.
-        With epoch-stamped blocks the old tables decode against their retained
-        epochs, so a retrain is just an offline training pass.
-        """
-        self.compressor.train(sample_values)
-        self.lifecycle.mark_trained()
-        self._save_models()
-        self.lifecycle.monitor.reset()
-        self._retrain_events += 1
 
     def snapshot(self, shard_id: int) -> ShardSnapshot:
         monitor = self.lifecycle.monitor

@@ -10,10 +10,10 @@ worker pools, inverted to the server side:
   thread** — the committed ``service_inline_dispatch`` benchmark row measures
   what that saves over the earlier submit-plus-``Future.result()`` handoff to
   a per-shard worker thread;
-* every shard also keeps a **single-worker executor** for work that should
-  not run on the calling thread (background retraining) or that fans out
-  across shards (flush, train, snapshots, scans, multi-shard batches); its
-  tasks take the same shard lock, so queued and inline work stay serialised;
+* every shard also keeps a **single-worker executor** for work that fans out
+  across shards (flush, model install, snapshots, scans, multi-shard
+  batches); its tasks take the same shard lock, so queued and inline work
+  stay serialised;
 * batched operations (``mget`` / ``mset``) group their keys by shard with the
   :class:`~repro.service.router.ShardRouter` and run one task per shard
   **in parallel across shards** (inline when only one shard is touched);
@@ -23,15 +23,24 @@ worker pools, inverted to the server side:
   advantage of PBC turns into read concurrency.  Cache fills happen under
   the shard lock (serialised with writes), so a stale payload can never be
   cached over a newer write;
+* training is the paper's offline/online split: **fit** (sample → model
+  bytes) is pure and runs under **no** lock, **install** (bytes → new current
+  epoch) is the only online step, O(ms), under the shard lock.
+  :meth:`KVService.train` fits once on the calling thread and installs the
+  same bytes on every shard;
 * after every write batch the shard checks its
   :class:`~repro.codecs.ModelLifecycle`; when the ratio or the PBC outlier
-  rate crosses its threshold, a **retrain task** is queued on the same shard
-  executor (Section 7.5's monitor-and-retrain loop).  The sample is the
-  lifecycle's sliding reservoir of that shard's most recent values, so the
-  new model reflects the drifted workload.  Retraining installs a new model
-  *epoch* — stored payloads and cached payloads keep decoding against the
-  epoch stamped in their headers, so a retrain no longer clears the cache or
-  rewrites a single byte of the backend.
+  rate crosses its threshold (Section 7.5's monitor-and-retrain loop), the
+  reservoir of that shard's most recent values is copied under the lock the
+  write already holds and handed to the one service-wide **trainer thread**
+  (``kv-trainer``, started by the first retrain).  It fits one model at a
+  time with no lock held — reads and writes on the drifting shard interleave
+  with the fit, and writes meanwhile are stamped with the old epoch — and
+  takes the shard lock only to install.  Stored and cached payloads keep
+  decoding against the epoch in their headers, so a retrain clears no cache
+  and rewrites no byte.  :meth:`KVService.wait_for_retrains` joins the
+  trainer and re-raises a failed fit; :meth:`KVService.close` cancels queued
+  fits and joins the running one.
 """
 
 from __future__ import annotations
@@ -108,11 +117,12 @@ class ServiceConfig:
 class _Shard:
     """One shard: backend + serialising lock + single-worker executor.
 
-    Every backend access goes through :meth:`run` (inline, calling thread)
-    or :meth:`defer` (queued on the worker); both hold :attr:`lock`, which
-    is what serialises operations on the shard.  The retraining reservoir
-    lives in the backend's :class:`~repro.codecs.ModelLifecycle` and is only
-    ever touched under the lock.
+    Every backend access except the pure ``backend.fit`` goes through
+    :meth:`run` (inline, calling thread) or :meth:`defer` (queued on the
+    worker); both hold :attr:`lock`, which is what serialises operations on
+    the shard.  The retraining reservoir lives in the backend's
+    :class:`~repro.codecs.ModelLifecycle` and is only ever touched under the
+    lock.
     """
 
     def __init__(self, shard_id: int, backend: ShardBackend) -> None:
@@ -122,7 +132,13 @@ class _Shard:
         self.executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix=f"kv-shard-{shard_id}"
         )
-        self.retrain_pending = False
+        #: the shard's most recent drift retrain on the service's trainer.
+        self.last_retrain: Future | None = None
+
+    @property
+    def retrain_pending(self) -> bool:
+        """Whether a drift retrain is queued or fitting (a failed one is done)."""
+        return self.last_retrain is not None and not self.last_retrain.done()
 
     def run(self, fn, *args):
         """Run ``fn`` inline under the shard lock (single-op fast path)."""
@@ -173,6 +189,9 @@ class KVService:
         self._deletes = 0
         self._cache_hits = 0
         self._closed = False
+        # Fits every drift retrain, one at a time; the thread starts with the
+        # first submit, so an undrifted service has none.
+        self._trainer = ThreadPoolExecutor(max_workers=1, thread_name_prefix="kv-trainer")
 
     # ---------------------------------------------------------------- lifecycle
 
@@ -199,10 +218,12 @@ class KVService:
         self._raise_first_error(futures)
 
     def close(self) -> None:
-        """Flush every shard, drain the executors, and close the backends."""
+        """Cancel queued retrains and join the running one, flush every shard,
+        drain the executors, and close the backends."""
         if self._closed:
             return
         self._closed = True
+        self._trainer.shutdown(wait=True, cancel_futures=True)
         flush_futures = [shard.defer(shard.backend.flush) for shard in self._shards]
         try:
             self._raise_first_error(flush_futures)
@@ -227,15 +248,30 @@ class KVService:
     # ----------------------------------------------------------------- training
 
     def train(self, sample_values: Sequence[str]) -> None:
-        """Offline-train every shard's compressor (in parallel across shards)."""
+        """Offline-train the service: **one** fit on the calling thread, no lock
+        held (the shards are configured alike: any shard's ``fit`` gives the
+        bytes all would), then one install per shard — none if the fit raises."""
         self._require_open()
         if not sample_values:
             raise ServiceError("cannot train the service on an empty sample")
+        sample = list(sample_values)
+        model = self._shards[0].backend.fit(sample)
         futures = [
-            shard.defer(shard.backend.train, list(sample_values))
+            shard.defer(shard.backend.install, model, len(sample))
             for shard in self._shards
         ]
         self._raise_first_error(futures)
+
+    def wait_for_retrains(self, timeout: float | None = None) -> None:
+        """Block until every drift retrain scheduled so far has installed its
+        model; re-raises the error of a fit that failed (that shard stays on
+        its old epoch).  :class:`ServiceError` after ``timeout`` seconds."""
+        self._require_open()
+        futures = [s.last_retrain for s in self._shards if s.last_retrain is not None]
+        if wait(futures, timeout=timeout).not_done:
+            raise ServiceError(f"retraining did not finish within {timeout:g}s")
+        for future in futures:
+            future.result()
 
     @staticmethod
     def _raise_first_error(futures: Sequence[Future]) -> None:
@@ -272,21 +308,26 @@ class KVService:
         self.cache.invalidate(key)
         return existed
 
-    def _shard_retrain(self, shard: _Shard) -> None:
-        shard.retrain_pending = False
-        # Installs a new model epoch for future writes.  Cached and stored
-        # payloads carry their own epoch headers and keep decoding against
-        # the retained old models, so nothing is cleared or rewritten.
-        shard.backend.retrain_from_recent()
+    @staticmethod
+    def _retrain(shard: _Shard, sample: list[str]) -> None:
+        # On the trainer thread: the fit holds no lock, the install the shard's.
+        # Cached and stored payloads carry their own epoch headers and keep
+        # decoding against the retained old models: nothing is cleared.
+        model = shard.backend.fit(sample)
+        with shard.lock:
+            shard.backend.install(model, len(sample), retrain=True)
 
     def _maybe_schedule_retrain(self, shard: _Shard) -> None:
+        # Called under the shard lock, which makes copying the reservoir safe.
         if (
             self.config.auto_retrain
+            and not self._closed
             and not shard.retrain_pending
             and shard.backend.needs_retraining()
         ):
-            shard.retrain_pending = True
-            shard.defer(self._shard_retrain, shard)
+            shard.last_retrain = self._trainer.submit(
+                self._retrain, shard, shard.backend.lifecycle.sample()
+            )
 
     def _decompress_cached(self, shard: _Shard, key: str, payload: bytes) -> str | None:
         """Decode a cached payload; ``None`` if its model epoch is gone.

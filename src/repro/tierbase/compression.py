@@ -5,7 +5,8 @@ compressor: originally a Zstd dictionary trained offline per workload, and —
 after the paper's integration work — optionally PBC_F patterns trained the same
 way.  The store only sees this small plugin interface:
 
-* ``train(sample_values)`` — offline training on a sample of the workload,
+* ``fit(sample_values) -> model bytes`` — offline training on a sample of the
+  workload (pure: any thread, no lock) — and ``install(model)``; ``train`` is both,
 * ``compress_many`` / ``decompress`` — batch transform applied on SET (one
   epoch, one payload per value; ``compress`` is the one-value batch) / per-value on GET.
 
@@ -22,7 +23,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Sequence
 
-from repro.codecs import ModelStore, VersionedCodec, payload_epoch
+from repro.codecs import ModelStore, VersionedCodec, payload_epoch, stamp_payload
 from repro.codecs.builtin import PBCCodec, PBCFCodec, ZstdCodec
 from repro.codecs.registry import codec_by_name
 from repro.core.compressor import PBCCompressor
@@ -37,8 +38,18 @@ class ValueCompressor(ABC):
     name: str = "value-compressor"
 
     @abstractmethod
+    def fit(self, sample_values: Sequence[str]) -> bytes:
+        """Offline training: the model bytes fitted to a sample of the workload's
+        values.  Pure (this compressor is neither read nor changed): any thread."""
+
+    @abstractmethod
+    def install(self, model: bytes, trained_records: int) -> None:
+        """Make fitted ``model`` bytes the epoch new payloads are written at."""
+
     def train(self, sample_values: Sequence[str]) -> None:
-        """Offline training on a sample of the workload's values."""
+        """:meth:`fit` on the sample, then :meth:`install` the result."""
+        sample = list(sample_values)
+        self.install(self.fit(sample), len(sample))
 
     @abstractmethod
     def compress_many(self, values: Sequence[str]) -> tuple[int, list[bytes]]:
@@ -73,6 +84,11 @@ class ValueCompressor(ABC):
         del data
         return 0
 
+    def recompress(self, value: str) -> bytes:
+        """:meth:`compress`'s bytes for a value read back from the store (a cache
+        fill): like :meth:`compress_many_at`, not counted as a write."""
+        return self.compress(value)
+
     def compress_many_at(self, values: Sequence[str], epoch: int) -> list[bytes]:
         """Headerless value bodies at ``epoch`` (SSTable blocks stamp it once)."""
         del epoch
@@ -103,7 +119,10 @@ class NoopValueCompressor(ValueCompressor):
 
     name = "Uncompressed"
 
-    def train(self, sample_values: Sequence[str]) -> None:
+    def fit(self, sample_values: Sequence[str]) -> bytes:
+        return b""
+
+    def install(self, model: bytes, trained_records: int) -> None:
         return None
 
     def compress_many(self, values: Sequence[str]) -> tuple[int, list[bytes]]:
@@ -137,8 +156,11 @@ class VersionedValueCompressor(ValueCompressor):
         """The :class:`~repro.codecs.ModelStore` of retained epochs."""
         return self.versioned.models
 
-    def train(self, sample_values: Sequence[str]) -> None:
-        self.versioned.train(sample_values)
+    def fit(self, sample_values: Sequence[str]) -> bytes:
+        return self.codec.train(sample_values)
+
+    def install(self, model: bytes, trained_records: int) -> None:
+        self.versioned.install(model, trained_records)
 
     def compress_many(self, values: Sequence[str]) -> tuple[int, list[bytes]]:
         return self.versioned.compress_records(values)
@@ -158,6 +180,11 @@ class VersionedValueCompressor(ValueCompressor):
 
     def payload_epoch(self, data: bytes) -> int:
         return payload_epoch(data)
+
+    def recompress(self, value: str) -> bytes:
+        model = self.versioned.models.current
+        body = self.versioned.encode_bodies((value,), model)[0]
+        return stamp_payload(self.codec.codec_id, model.epoch, body)
 
     def compress_many_at(self, values: Sequence[str], epoch: int) -> list[bytes]:
         return self.versioned.encode_bodies(values, self.versioned.models.get(epoch))

@@ -94,38 +94,40 @@ class TierBase:
 
     # --------------------------------------------------------------- training
 
-    def train(self, sample_values: Sequence[str]) -> None:
-        """Offline training of the value compressor on a workload sample."""
+    def fit(self, sample_values: Sequence[str]) -> bytes:
+        """Offline half of training: model bytes fitted to a workload sample.
+        Pure (it touches nothing of the store), so it needs no lock."""
         if not sample_values:
             raise StoreError("cannot train the value compressor on an empty sample")
-        self.compressor.train(sample_values)
-        self.lifecycle.mark_trained()
+        return self.compressor.fit(sample_values)
+
+    def install(self, model: bytes, trained_records: int, retrain: bool = False) -> None:
+        """Online half: ``model`` becomes the epoch future SETs are written at
+        (stored payloads keep their own); a ``retrain`` resets the drift monitor."""
+        self.compressor.install(model, trained_records)
+        self.lifecycle.mark_trained(retrain)
+
+    def train(self, sample_values: Sequence[str]) -> None:
+        """Offline training of the value compressor on a workload sample."""
+        self.install(self.fit(sample_values), len(sample_values))
 
     def retrain(self, sample_values: Sequence[str] | None = None, rewrite: bool = False) -> None:
         """Re-train the compressor on ``sample_values`` (default: the reservoir
-        of recent values).
-
-        The epoch model makes this cheap: a new model is installed for future
-        SETs while stored payloads keep decoding against the epoch stamped in
-        their headers — nothing is rewritten and reads are never blocked.
-        ``rewrite=True`` restores the pre-epoch stop-the-world behaviour
-        (decompress everything, retrain, recompress) for benchmarking.
+        of recent values): :meth:`fit`, then :meth:`install`.  The fit runs on
+        the caller's thread, which waits for it.  ``rewrite=True`` restores the
+        pre-epoch stop-the-world behaviour (decompress everything, retrain,
+        recompress) for benchmarking.
         """
+        sample = list(sample_values) if sample_values is not None else self.lifecycle.sample()
+        if sample_values is None and not sample:
+            raise StoreError("cannot retrain: no sample provided and the reservoir is empty")
+        # Decompress everything with the models that wrote it *before*
+        # re-compressing under the new epoch.
+        existing = {key: self.get(key) for key in list(self._data)} if rewrite else {}
+        self.install(self.fit(sample), len(sample), retrain=True)
         if rewrite:
-            # Decompress everything with the models that wrote it *before*
-            # re-compressing under the new epoch.
-            existing = {key: self.get(key) for key in list(self._data)}
-            self._retrain_model(sample_values)
             self._clear_payloads()
             self.set_many(list(existing.items()))
-            return
-        self._retrain_model(sample_values)
-
-    def _retrain_model(self, sample_values: Sequence[str] | None) -> None:
-        if sample_values is not None and not sample_values:
-            raise StoreError("cannot train the value compressor on an empty sample")
-        if not self.lifecycle.retrain(self.compressor.train, sample_values):
-            raise StoreError("cannot retrain: no sample provided and the reservoir is empty")
 
     def _clear_payloads(self) -> None:
         for epoch in self._epochs.values():

@@ -378,6 +378,9 @@ def test_drift_retrain_under_live_traffic_no_stale_reads():
                             for offset, value in enumerate(drifted[start : start + 25])
                         ]
                     )
+                # The fit runs beside the traffic on the service's trainer
+                # thread: join it, a STATS frame no longer queues behind it.
+                service.wait_for_retrains(timeout=WAIT)
                 stats = writer.stats()
                 # Old-epoch and new-epoch keys both read back exactly.
                 assert writer.mget([f"t:{i}" for i in range(len(trained))]) == trained

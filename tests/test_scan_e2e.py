@@ -242,6 +242,9 @@ def test_drift_retrain_mid_scan_zero_stale_decodes():
                             for offset, value in enumerate(drifted[start : start + 25])
                         ]
                     )
+                # The fit runs beside the scans on the service's trainer
+                # thread: join it, a STATS frame no longer queues behind it.
+                service.wait_for_retrains(timeout=WAIT)
                 stats = writer.stats()
         finally:
             stop.set()

@@ -260,8 +260,9 @@ class TestRetraining:
         ) as service:
             service.train(trained)
             service.mset([(f"d:{index}", value) for index, value in enumerate(drifted)])
-            # Retrain tasks are queued on the shard executors; snapshot() runs
-            # after them because each executor is single-worker FIFO.
+            # Retrains fit on the service's trainer thread, off the shard
+            # executors: join them before reading the counter.
+            service.wait_for_retrains(timeout=30)
             snapshot = service.snapshot()
             assert snapshot.retrain_events >= 1
             # Values written before the retrain still round-trip afterwards.

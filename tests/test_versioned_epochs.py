@@ -388,6 +388,7 @@ def test_background_retrain_keeps_old_epoch_payloads_live():
         service.train(trained)
         service.mset([(f"t:{index}", value) for index, value in enumerate(trained)])
         service.mset([(f"d:{index}", value) for index, value in enumerate(drifted)])
+        service.wait_for_retrains(timeout=30)
         snapshot = service.snapshot()
         assert snapshot.retrain_events >= 1
         assert service.mget([f"t:{index}" for index in range(len(trained))]) == trained
