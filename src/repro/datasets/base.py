@@ -86,11 +86,6 @@ def pick_word(rng: random.Random) -> str:
     return rng.choice(_WORDS)
 
 
-def pick_words(rng: random.Random, count: int, separator: str = "_") -> str:
-    """Join ``count`` random words with ``separator``."""
-    return separator.join(rng.choice(_WORDS) for _ in range(count))
-
-
 def hex_token(rng: random.Random, length: int) -> str:
     """Random fixed-length lowercase hex string."""
     return "".join(rng.choice(_HEX_DIGITS) for _ in range(length))
@@ -118,15 +113,3 @@ def uuid4_string(rng: random.Random) -> str:
     raw[16] = (raw[16] & 0x3) | 0x8  # variant nibble
     text = "".join(_HEX_DIGITS[nibble] for nibble in raw)
     return f"{text[0:8]}-{text[8:12]}-{text[12:16]}-{text[16:20]}-{text[20:32]}"
-
-
-def weighted_choice(rng: random.Random, options: Sequence[tuple[str, float]]) -> str:
-    """Pick one of ``(value, weight)`` options proportionally to the weights."""
-    total = sum(weight for _value, weight in options)
-    threshold = rng.random() * total
-    cumulative = 0.0
-    for value, weight in options:
-        cumulative += weight
-        if threshold <= cumulative:
-            return value
-    return options[-1][0]

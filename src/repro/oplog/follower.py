@@ -1,6 +1,6 @@
 """``FollowerStore``: the operation log's first consumer — a replica in embryo.
 
-A follower is deliberately dumb: a key → value-bytes dictionary that applies
+A follower is deliberately dumb: a key → last-PUT-record dictionary that applies
 :class:`~repro.oplog.record.OpRecord`\\ s in LSN order and remembers how far
 it got.  It never compresses, never trains, never interprets payloads — the
 PR-3 versioned-epoch design means the model epoch travels *with* the bytes,
@@ -29,8 +29,8 @@ class FollowerStore:
     """Applies an LSN-ordered record stream; converges with the primary."""
 
     def __init__(self) -> None:
-        self._data: dict[str, bytes] = {}
-        self._epochs: dict[str, int] = {}
+        #: key -> the PUT record that wrote its current value.
+        self._records: dict[str, OpRecord] = {}
         #: highest LSN applied (or checkpointed past); 0 = nothing yet.
         self.last_applied = 0
         #: records skipped as already-applied duplicates (idempotence hits).
@@ -44,11 +44,9 @@ class FollowerStore:
             self.duplicates += 1
             return False
         if record.op == OP_PUT:
-            self._data[record.key] = record.value
-            self._epochs[record.key] = record.epoch
+            self._records[record.key] = record
         elif record.op == OP_DELETE:
-            self._data.pop(record.key, None)
-            self._epochs.pop(record.key, None)
+            self._records.pop(record.key, None)
         elif record.op != OP_CHECKPOINT:
             raise ValueError(f"unknown operation tag {record.op}")
         self.last_applied = record.lsn
@@ -88,25 +86,28 @@ class FollowerStore:
 
     def get_bytes(self, key: str) -> bytes | None:
         """The replicated value bytes for ``key`` (``None`` when absent)."""
-        return self._data.get(key)
+        return self._records[key].value if key in self._records else None
 
     def epoch_of(self, key: str) -> int | None:
         """The codec epoch stamped on ``key``'s record (``None`` when absent)."""
-        return self._epochs.get(key)
+        return self._records[key].epoch if key in self._records else None
 
     def keys(self) -> Iterator[str]:
-        return iter(sorted(self._data))
+        return iter(sorted(self._records))
 
     def items(self) -> Iterator[tuple[str, bytes]]:
-        """``(key, value_bytes)`` in key order."""
-        for key in sorted(self._data):
-            yield key, self._data[key]
+        """``(key, value_bytes)`` in key order; a key deleted before the
+        iterator reaches it is skipped, one overwritten yields its new value."""
+        for key in sorted(self._records):
+            record = self._records.get(key)
+            if record is not None:
+                yield key, record.value
 
     def __len__(self) -> int:
-        return len(self._data)
+        return len(self._records)
 
     def __contains__(self, key: str) -> bool:
-        return key in self._data
+        return key in self._records
 
     # ------------------------------------------------------------ convergence
 
@@ -114,14 +115,14 @@ class FollowerStore:
         """Keys whose replicated bytes differ from ``expected`` (byte-exact).
 
         Empty list = converged.  ``expected`` is the primary's own payload
-        map (TierBase's compressed dict, or the LSM engine's live entries
-        encoded to bytes), so equality here is the replication acceptance
+        map (the payloads of ``TierBase.entries()``, or the LSM engine's live
+        entries encoded to bytes), so equality here is the replication acceptance
         bar: same keys, same bytes.
         """
         problems = [
             key
-            for key in self._data
-            if key not in expected or self._data[key] != expected[key]
+            for key, record in self._records.items()
+            if key not in expected or record.value != expected[key]
         ]
-        problems.extend(key for key in expected if key not in self._data)
+        problems.extend(key for key in expected if key not in self._records)
         return sorted(set(problems))

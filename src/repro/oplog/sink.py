@@ -200,11 +200,6 @@ class SubscriberSink(LogSink):
                 return 0
             return max(self._end - sub._position for sub in self._subscriptions)
 
-    @property
-    def subscriber_count(self) -> int:
-        with self._lock:
-            return len(self._subscriptions)
-
     def __len__(self) -> int:
         """Records currently retained in the ring."""
         with self._lock:

@@ -642,4 +642,4 @@ class KVService:
             store = getattr(backend, "store", None)
             if store is None:
                 raise ServiceError("keys() is only supported by the tierbase backend")
-            yield from list(store.keys())
+            yield from shard.run(store.keys)

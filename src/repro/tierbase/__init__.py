@@ -20,11 +20,10 @@ from repro.tierbase.snapshot import (
     read_snapshot,
     write_snapshot,
 )
-from repro.tierbase.store import CompressionMonitor, StoreStats, TierBase
-from repro.tierbase.workload import WorkloadResult, WorkloadSpec, run_workload
+from repro.tierbase.store import StoreStats, TierBase
+from repro.tierbase.workload import WorkloadResult, run_workload
 
 __all__ = [
-    "CompressionMonitor",
     "LEGACY_SNAPSHOT_MAGIC",
     "NoopValueCompressor",
     "SNAPSHOT_MAGIC",
@@ -37,7 +36,6 @@ __all__ = [
     "ValueCompressor",
     "VersionedValueCompressor",
     "WorkloadResult",
-    "WorkloadSpec",
     "ZstdDictValueCompressor",
     "run_workload",
 ]

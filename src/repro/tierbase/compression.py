@@ -26,7 +26,6 @@ from typing import Sequence
 from repro.codecs import ModelStore, VersionedCodec, payload_epoch, stamp_payload
 from repro.codecs.builtin import PBCCodec, PBCFCodec, ZstdCodec
 from repro.codecs.registry import codec_by_name
-from repro.core.compressor import PBCCompressor
 from repro.core.extraction import ExtractionConfig
 from repro.exceptions import CodecError
 
@@ -233,15 +232,3 @@ class PBCValueCompressor(VersionedValueCompressor):
         codec = codec_class(config=self.config)
         # "PBC_F" with FSST, plain "PBC" without — the Table 8 row names.
         super().__init__(codec, name="PBC_F" if use_fsst else "PBC")
-
-    @property
-    def pbc(self) -> PBCCompressor:
-        """A PBC compressor bound to the current model (monitoring and tests).
-
-        Untrained (epoch 0) it is a fresh untrained compressor, matching the
-        pre-registry contract of this property.
-        """
-        payload = self.versioned.models.current.payload
-        if not payload:
-            return PBCCompressor(config=self.config)
-        return self.codec.record_coder(payload)

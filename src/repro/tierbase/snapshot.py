@@ -21,6 +21,10 @@ sequence instead of re-issuing sequence numbers.  Byte layout
                          uvarint(len(payload)) payload   (epoch-stamped)
                 crc32 u32-be                  (over everything above)
 
+A per-key record after its key is exactly the entry the store keeps in
+memory, so saving writes each entry behind its key and loading slices each
+one straight out of the file body.
+
 Legacy ``TBS1`` files (identical except no ``last_applied_lsn`` field) stay
 readable: they parse with a watermark of 0, exactly as a pre-LSN writer left
 them.  New snapshots are always written as ``TBS2``.
@@ -60,8 +64,9 @@ class SnapshotContent:
     #: persisted model store (``ValueCompressor.dump_models`` output), or
     #: ``None`` when the writer was an un-versioned compressor.
     models: bytes | None
-    #: ``(key, original_size, compressed_payload)`` per stored key.
-    entries: tuple[tuple[str, int, bytes], ...]
+    #: ``(key, entry)`` per stored key, ``entry`` being the record after the
+    #: key: ``uvarint(original_size) ‖ uvarint(len(payload)) ‖ payload``.
+    entries: tuple[tuple[str, bytes], ...]
     #: operation-log watermark at save time (0 for legacy ``TBS1`` files).
     last_applied_lsn: int = 0
 
@@ -79,14 +84,12 @@ def dump_snapshot(store) -> bytes:
         out += encode_uvarint(len(models))
         out += models
     out += encode_uvarint(getattr(store, "last_applied_lsn", 0))
-    out += encode_uvarint(len(store._data))
-    for key, payload in store._data.items():
+    out += encode_uvarint(len(store._entries))
+    for key, entry in store._entries.items():
         key_bytes = key.encode("utf-8")
         out += encode_uvarint(len(key_bytes))
         out += key_bytes
-        out += encode_uvarint(store._original_sizes.get(key, len(payload)))
-        out += encode_uvarint(len(payload))
-        out += payload
+        out += entry
     out += zlib.crc32(out).to_bytes(4, "big")
     return bytes(out)
 
@@ -132,18 +135,17 @@ def _parse_body(body: bytes, path: Path, legacy: bool) -> SnapshotContent:
     if not legacy:
         last_applied_lsn, offset = decode_uvarint(body, offset)
     key_count, offset = decode_uvarint(body, offset)
-    entries: list[tuple[str, int, bytes]] = []
+    entries: list[tuple[str, bytes]] = []
     for _ in range(key_count):
         key_length, offset = decode_uvarint(body, offset)
         key = body[offset : offset + key_length].decode("utf-8")
-        offset += key_length
-        original_size, offset = decode_uvarint(body, offset)
+        start = offset + key_length
+        _, offset = decode_uvarint(body, start)
         payload_length, offset = decode_uvarint(body, offset)
-        payload = body[offset : offset + payload_length]
-        if len(payload) != payload_length:
-            raise StoreError(f"{path} has a truncated payload for key {key!r}")
         offset += payload_length
-        entries.append((key, original_size, payload))
+        if offset > len(body):
+            raise StoreError(f"{path} has a truncated payload for key {key!r}")
+        entries.append((key, body[start:offset]))
     if offset != len(body):
         raise StoreError(f"{path} has trailing bytes after the last snapshot entry")
     return SnapshotContent(

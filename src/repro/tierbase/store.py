@@ -17,28 +17,41 @@ Retraining is **epoch-based** (:mod:`repro.codecs.model`): it installs a new
 trained model and leaves every stored payload untouched — each payload header
 names the epoch that wrote it, and the store ref-counts live payloads per
 epoch so superseded models are pruned only once nothing references them.
-The pre-registry stop-the-world path (decompress everything, retrain,
-recompress) survives as ``retrain(..., rewrite=True)`` for the
-``benchmarks/bench_retrain.py`` before/after comparison.
+
+Each key is held as one object, its ``TBS2`` record tail
+``uvarint(original_size) ‖ uvarint(len(payload)) ‖ payload`` (docs/FORMATS.md
+§8): replacing or deleting it re-reads its sizes and payload epoch, so the
+totals behind :meth:`TierBase.stats` are kept running.  Scans bisect a sorted
+key index — a sorted run plus the keys inserted since, merged lazily.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from repro.codecs.lifecycle import DriftMonitor, ModelLifecycle
+from repro.codecs.lifecycle import ModelLifecycle
+from repro.entropy.varint import decode_uvarint, encode_uvarint
 from repro.exceptions import StoreError
 from repro.oplog.log import OperationLog
 from repro.oplog.record import OP_DELETE, OP_PUT
 from repro.tierbase import snapshot as tbs
 from repro.tierbase.compression import NoopValueCompressor, ValueCompressor
 
-#: Back-compat alias: the monitor moved to :mod:`repro.codecs.lifecycle`.
-#: Contract change with the move: ``needs_retraining`` takes the outlier
-#: *rate* (a float) rather than the PBC compressor object it used to inspect.
-CompressionMonitor = DriftMonitor
+#: a delete merges the index first when more keys than this await a merge:
+#: repeated linear searches of a long unsorted tail cost more than one sort.
+_TAIL_SEARCH = 64
+
+
+def _split(entry: bytes) -> tuple[int, int]:
+    """``(original_size, payload offset)`` of a stored entry."""
+    if entry[0] < 0x80 and entry[1] < 0x80:
+        return entry[0], 2
+    original_size, offset = decode_uvarint(entry)
+    return original_size, decode_uvarint(entry, offset)[1]
 
 
 @dataclass
@@ -79,9 +92,13 @@ class TierBase:
             unmatched_threshold=unmatched_threshold,
         )
         self.monitor = self.lifecycle.monitor
-        self._data: dict[str, bytes] = {}
-        self._original_sizes: dict[str, int] = {}
-        self._epochs: dict[str, int] = {}
+        #: key -> ``uvarint(original_size) ‖ uvarint(len(payload)) ‖ payload``
+        self._entries: dict[str, bytes] = {}
+        #: the key index: a sorted run + the keys inserted since (_sorted_keys)
+        self._sorted: list[str] = []
+        self._unsorted: list[str] = []
+        #: running totals over the live entries: stats() is O(1)
+        self._key_bytes = self._original_bytes = self._stored_bytes = 0
         #: the store's mutation spine: every SET/DELETE is sequenced through
         #: it as an LSN-stamped record whose value is the *epoch-stamped
         #: compressed payload* — which is what lets a follower converge
@@ -111,30 +128,15 @@ class TierBase:
         """Offline training of the value compressor on a workload sample."""
         self.install(self.fit(sample_values), len(sample_values))
 
-    def retrain(self, sample_values: Sequence[str] | None = None, rewrite: bool = False) -> None:
+    def retrain(self, sample_values: Sequence[str] | None = None) -> None:
         """Re-train the compressor on ``sample_values`` (default: the reservoir
         of recent values): :meth:`fit`, then :meth:`install`.  The fit runs on
-        the caller's thread, which waits for it.  ``rewrite=True`` restores the
-        pre-epoch stop-the-world behaviour (decompress everything, retrain,
-        recompress) for benchmarking.
+        the caller's thread, which waits for it; stored payloads are untouched.
         """
         sample = list(sample_values) if sample_values is not None else self.lifecycle.sample()
         if sample_values is None and not sample:
             raise StoreError("cannot retrain: no sample provided and the reservoir is empty")
-        # Decompress everything with the models that wrote it *before*
-        # re-compressing under the new epoch.
-        existing = {key: self.get(key) for key in list(self._data)} if rewrite else {}
         self.install(self.fit(sample), len(sample), retrain=True)
-        if rewrite:
-            self._clear_payloads()
-            self.set_many(list(existing.items()))
-
-    def _clear_payloads(self) -> None:
-        for epoch in self._epochs.values():
-            self.compressor.release_epoch(epoch)
-        self._data.clear()
-        self._original_sizes.clear()
-        self._epochs.clear()
 
     # ------------------------------------------------------------- operations
 
@@ -159,16 +161,21 @@ class TierBase:
             [(OP_PUT, key, payload, epoch) for (key, _), payload in zip(items, payloads)]
         )
         self.compressor.acquire_epoch(epoch, len(payloads))
+        entries = self._entries
         original_bytes = stored_bytes = 0
         for (key, value), payload in zip(items, payloads):
-            previous = self._epochs.get(key)
-            if previous is not None:
-                self.compressor.release_epoch(previous)
-            self._epochs[key] = epoch
-            self._data[key] = payload
-            self._original_sizes[key] = original_size = len(value.encode("utf-8"))
+            previous = entries.get(key)
+            if previous is None:
+                self._unsorted.append(key)
+                self._key_bytes += len(key.encode("utf-8"))
+            else:
+                self.compressor.release_epoch(self._count(previous, -1))
+            original_size = len(value.encode("utf-8"))
+            entries[key] = encode_uvarint(original_size) + encode_uvarint(len(payload)) + payload
             original_bytes += original_size
             stored_bytes += len(payload)
+        self._original_bytes += original_bytes
+        self._stored_bytes += stored_bytes
         self._sets += len(payloads)
         self.lifecycle.observe_many(values, original_bytes, stored_bytes)
         return lsn
@@ -188,12 +195,14 @@ class TierBase:
         as a GET in the store statistics.
         """
         self._gets += 1
-        payload = self._data.get(key)
-        if payload is None:
+        entry = self._entries.get(key)
+        if entry is None:
             self._misses += 1
             return None
         self._hits += 1
-        return payload
+        if entry[0] < 0x80 and entry[1] < 0x80:
+            return entry[2:]
+        return entry[_split(entry)[1] :]
 
     def delete(self, key: str) -> bool:
         """Remove ``key``; returns whether it existed.
@@ -204,17 +213,39 @@ class TierBase:
         observable as :attr:`last_applied_lsn`.
         """
         self.oplog.append(OP_DELETE, key)
-        existed = key in self._data
-        self._data.pop(key, None)
-        self._original_sizes.pop(key, None)
-        epoch = self._epochs.pop(key, None)
-        if epoch is not None:
-            self.compressor.release_epoch(epoch)
-        return existed
+        entry = self._entries.pop(key, None)
+        if entry is None:
+            return False
+        self.compressor.release_epoch(self._count(entry, -1))
+        self._key_bytes -= len(key.encode("utf-8"))
+        index = self._sorted_keys() if len(self._unsorted) > _TAIL_SEARCH else self._sorted
+        position = bisect_left(index, key)
+        if position < len(index) and index[position] == key:
+            del index[position]
+        else:
+            self._unsorted.remove(key)
+        return True
+
+    def _count(self, entry: bytes, sign: int) -> int:
+        """Add (``sign`` 1) or take out (-1) an entry's sizes from the running
+        totals; returns its payload's epoch."""
+        original_size, offset = _split(entry)
+        self._original_bytes += sign * original_size
+        self._stored_bytes += sign * (len(entry) - offset)
+        return self.compressor.payload_epoch(entry[offset:])
+
+    def _sorted_keys(self) -> list[str]:
+        """The sorted index, with the keys inserted since the last call merged
+        in (Timsort merges the sorted run and a short tail in near-linear time)."""
+        if self._unsorted:
+            self._sorted += self._unsorted
+            self._unsorted.clear()
+            self._sorted.sort()
+        return self._sorted
 
     def exists(self, key: str) -> bool:
         """Whether ``key`` is present."""
-        return key in self._data
+        return key in self._entries
 
     def keys(self) -> Iterator[str]:
         """Iterate over all stored keys in sorted order.
@@ -222,9 +253,9 @@ class TierBase:
         Sorted iteration is a contract, not an accident: the service layer's
         range scans merge per-shard streams in key order, so every backend
         must produce ordered keys.  (Before range scans existed this leaked
-        dict insertion order.)
+        dict insertion order.)  It walks a copy: the store may change meanwhile.
         """
-        return iter(sorted(self._data))
+        return iter(list(self._sorted_keys()))
 
     def scan(
         self, start: str | None = None, end: str | None = None, limit: int | None = None
@@ -233,28 +264,37 @@ class TierBase:
 
         ``limit`` bounds the number of results; values are decompressed one at
         a time as the iterator advances, so an abandoned scan never pays for
-        entries it did not reach.  Scanned entries count as GET hits.
+        entries it did not reach.  Scanned entries count as GET hits.  A key
+        deleted before the scan reaches it is skipped; one overwritten yields
+        its new value.
         """
         if limit is not None and limit <= 0:
             return
-        yielded = 0
-        for key in sorted(self._data):
-            if start is not None and key < start:
+        index = self._sorted_keys()
+        low = 0 if start is None else bisect_left(index, start)
+        high = len(index) if end is None else bisect_left(index, end)
+        if limit is not None:
+            high = min(high, low + limit)
+        for key in index[low:high]:
+            entry = self._entries.get(key)
+            if entry is None:
                 continue
-            if end is not None and key >= end:
-                return
             self._gets += 1
             self._hits += 1
-            yield key, self.compressor.decompress(self._data[key])
-            yielded += 1
-            if limit is not None and yielded >= limit:
-                return
+            yield key, self.compressor.decompress(entry[_split(entry)[1] :])
+
+    def entries(self) -> Iterator[tuple[str, int, bytes]]:
+        """``(key, original_size, payload)`` per stored key, in the order a
+        snapshot writes them (first insertion).  A read, not a GET: no counter moves."""
+        for key, entry in list(self._entries.items()):
+            original_size, offset = _split(entry)
+            yield key, original_size, entry[offset:]
 
     def __len__(self) -> int:
-        return len(self._data)
+        return len(self._entries)
 
     def __contains__(self, key: str) -> bool:
-        return key in self._data
+        return key in self._entries
 
     # ------------------------------------------------------------ persistence
 
@@ -310,12 +350,14 @@ class TierBase:
             )
         if content.models is not None:
             store.compressor.load_models(content.models)
-        for key, original_size, payload in content.entries:
-            epoch = store.compressor.payload_epoch(payload)
-            store.compressor.acquire_epoch(epoch)
-            store._epochs[key] = epoch
-            store._data[key] = payload
-            store._original_sizes[key] = original_size
+        epochs = Counter()
+        for key, entry in content.entries:
+            epochs[store._count(entry, 1)] += 1
+            store._entries[key] = entry
+            store._key_bytes += len(key.encode("utf-8"))
+        for epoch, count in epochs.items():
+            store.compressor.acquire_epoch(epoch, count)
+        store._unsorted = list(store._entries)
         # Snapshot entries are *applied*, not re-logged — they already carry
         # the LSNs the writer assigned; resume the sequence past the stamp
         # (0 for legacy TBS1 snapshots, which predate LSNs).
@@ -334,7 +376,7 @@ class TierBase:
     @property
     def memory_bytes(self) -> int:
         """Approximate memory footprint: keys plus compressed values."""
-        return sum(len(key.encode("utf-8")) + len(value) for key, value in self._data.items())
+        return self._key_bytes + self._stored_bytes
 
     def needs_retraining(self) -> bool:
         """Whether the compression monitor recommends a re-training pass."""
@@ -343,10 +385,10 @@ class TierBase:
     def stats(self) -> StoreStats:
         """Aggregate statistics snapshot."""
         return StoreStats(
-            keys=len(self._data),
+            keys=len(self._entries),
             memory_bytes=self.memory_bytes,
-            original_value_bytes=sum(self._original_sizes.values()),
-            stored_value_bytes=sum(len(value) for value in self._data.values()),
+            original_value_bytes=self._original_bytes,
+            stored_value_bytes=self._stored_bytes,
             sets=self._sets,
             gets=self._gets,
             hits=self._hits,

@@ -18,16 +18,6 @@ from typing import Sequence
 from repro.tierbase.store import TierBase
 
 
-@dataclass(frozen=True)
-class WorkloadSpec:
-    """One Table 8 workload: a named stream of values to store."""
-
-    name: str
-    dataset: str
-    value_count: int
-    train_count: int = 256
-
-
 @dataclass
 class WorkloadResult:
     """Measured outcome of one (workload, compressor) cell of Table 8."""

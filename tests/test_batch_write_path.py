@@ -14,13 +14,13 @@ import functools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.codecs import codec_by_name, versioned_codec
+from repro.codecs import ModelLifecycle, codec_by_name, versioned_codec
 from repro.core.compressor import PBCCompressor
 from repro.datasets import load_dataset
 from repro.exceptions import EncodingError
-from repro.oplog import OP_PUT, FollowerStore, SubscriberSink
+from repro.oplog import OP_PUT, FollowerStore, OperationLog, SubscriberSink
 from repro.service import KVService, ServiceConfig
-from repro.tierbase import TierBase
+from repro.tierbase import StoreStats, TierBase
 from repro.tierbase.compression import PBCValueCompressor
 
 DATASETS = ["kv1", "kv2", "hdfs", "alilogs"]
@@ -49,34 +49,76 @@ def _store(dataset: str) -> TierBase:
     return store
 
 
-def reference_set(store: TierBase, key: str, value: str) -> int:
-    """The per-record ``TierBase.set`` this PR replaced, statement for
-    statement: compress one value, re-read the epoch from the header it just
-    stamped, log one record, one acquire and one release, observe one value."""
-    payload = store.compressor.compress(value)
-    original_size = len(value.encode("utf-8"))
-    epoch = store.compressor.payload_epoch(payload)
-    record = store.oplog.append(OP_PUT, key, payload, epoch)
-    previous = store._epochs.get(key)
-    store.compressor.acquire_epoch(epoch)
-    if previous is not None:
-        store.compressor.release_epoch(previous)
-    store._epochs[key] = epoch
-    store._data[key] = payload
-    store._original_sizes[key] = original_size
-    store._sets += 1
-    store.monitor.observe(original_size, len(payload))
-    store.lifecycle.reservoir.append(value)
-    return record.lsn
+class ReferenceStore:
+    """The per-record ``TierBase.set`` the batch path replaced, statement for
+    statement, on its own three per-key dicts: compress one value, re-read the
+    epoch from the header it just stamped, log one record, one acquire and one
+    release, observe one value.  Compared with a TierBase only through the
+    surface both expose."""
+
+    def __init__(self, dataset: str) -> None:
+        self.compressor = PBCValueCompressor()
+        self.compressor.models.install(_trained(dataset)[1], trained_records=256)
+        self.lifecycle = ModelLifecycle(reservoir_size=256)
+        self.monitor = self.lifecycle.monitor
+        self.oplog = OperationLog()
+        self.data: dict[str, bytes] = {}
+        self.original_sizes: dict[str, int] = {}
+        self.epochs: dict[str, int] = {}
+        self.sets = self.gets = 0
+
+    def set(self, key: str, value: str) -> int:
+        payload = self.compressor.compress(value)
+        original_size = len(value.encode("utf-8"))
+        epoch = self.compressor.payload_epoch(payload)
+        record = self.oplog.append(OP_PUT, key, payload, epoch)
+        previous = self.epochs.get(key)
+        self.compressor.acquire_epoch(epoch)
+        if previous is not None:
+            self.compressor.release_epoch(previous)
+        self.epochs[key] = epoch
+        self.data[key] = payload
+        self.original_sizes[key] = original_size
+        self.sets += 1
+        self.monitor.observe(original_size, len(payload))
+        self.lifecycle.reservoir.append(value)
+        return record.lsn
+
+    def get(self, key: str) -> str:
+        self.gets += 1
+        return self.compressor.decompress(self.data[key])
+
+    @property
+    def last_applied_lsn(self) -> int:
+        return self.oplog.last_lsn
+
+    def entries(self):
+        for key, payload in self.data.items():
+            yield key, self.original_sizes[key], payload
+
+    def stats(self) -> StoreStats:
+        return StoreStats(
+            keys=len(self.data),
+            memory_bytes=sum(len(key.encode("utf-8")) + len(value) for key, value in self.data.items()),
+            original_value_bytes=sum(self.original_sizes.values()),
+            stored_value_bytes=sum(len(value) for value in self.data.values()),
+            sets=self.sets,
+            gets=self.gets,
+            hits=self.gets,
+            misses=0,
+        )
 
 
-def _state(store: TierBase) -> dict:
-    """Everything a write touches, as comparable values."""
+def _state(store) -> dict:
+    """Everything a write touches, as comparable values, read through the
+    surface a :class:`TierBase` and a :class:`ReferenceStore` share."""
     models = store.compressor.models
+    entries = list(store.entries())
     return {
-        "data": dict(store._data),
-        "original_sizes": dict(store._original_sizes),
-        "epochs": dict(store._epochs),
+        "order": [key for key, _, _ in entries],
+        "data": {key: payload for key, _, payload in entries},
+        "original_sizes": {key: size for key, size, _ in entries},
+        "epochs": {key: store.compressor.payload_epoch(payload) for key, _, payload in entries},
         "last_applied_lsn": store.last_applied_lsn,
         "retained_epochs": models.epochs(),
         "references": {epoch: models.references(epoch) for epoch in models.epochs()},
@@ -149,8 +191,8 @@ class TestSetMany:
         records = _trained(dataset)[0][:700]
         # 500 distinct keys, so the tail overwrites (and releases) earlier writes.
         items = [(f"key:{index % 500:04d}", record) for index, record in enumerate(records)]
-        by_set, by_batch = _store(dataset), _store(dataset)
-        single_lsns = [reference_set(by_set, key, value) for key, value in items]
+        by_set, by_batch = ReferenceStore(dataset), _store(dataset)
+        single_lsns = [by_set.set(key, value) for key, value in items]
         batch_lsns = [
             by_batch.set_many(items[start : start + batch_size])
             for start in range(0, len(items), batch_size)
@@ -170,12 +212,12 @@ class TestSetMany:
     def test_overwriting_a_superseded_epochs_last_keys_prunes_it(self):
         records, model = _trained("kv1")
         states = []
-        for write in (
-            lambda store, items: [reference_set(store, key, value) for key, value in items],
-            lambda store, items: [store.set(key, value) for key, value in items],
-            TierBase.set_many,
+        for make, write in (
+            (ReferenceStore, lambda store, items: [store.set(key, value) for key, value in items]),
+            (_store, lambda store, items: [store.set(key, value) for key, value in items]),
+            (_store, TierBase.set_many),
         ):
-            store = _store("kv1")
+            store = make("kv1")
             write(store, [(f"old:{index}", records[index]) for index in range(10)])
             store.compressor.models.install(model, trained_records=256)  # the retrain
             overwrite = [(f"old:{index}", records[20 + index]) for index in range(10)]
@@ -213,7 +255,7 @@ class TestSetMany:
         polled = subscription.poll()
         assert [record.lsn for record in polled] == list(range(1, store.last_applied_lsn + 1))
         follower.apply_many(polled)
-        assert follower.diverges_from(store._data) == []
+        assert follower.diverges_from({key: payload for key, _, payload in store.entries()}) == []
         assert follower.last_applied == store.last_applied_lsn
         assert all(follower.epoch_of(key) == 1 for key in follower.keys())
 

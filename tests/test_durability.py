@@ -206,7 +206,8 @@ def test_tierbase_snapshot_roundtrip_across_epochs(tmp_path):
     store.retrain([f"user={n} zone=gamma{n}" for n in range(40)])
     for n in range(30):
         store.set(f"c{n}", f"user={n} zone=gamma{n}")
-    assert len(set(store._epochs.values())) >= 2  # payloads span epochs
+    epochs = {store.compressor.payload_epoch(payload) for _, _, payload in store.entries()}
+    assert len(epochs) >= 2  # payloads span epochs
     path = tmp_path / "epochs.tbs"
     store.save(path)
     loaded = TierBase.load(path, compressor=ZstdDictValueCompressor())

@@ -170,7 +170,7 @@ def test_fit_is_pure_under_concurrent_writes():
     assert not any(thread.is_alive() for thread in fitters)
     assert fitted == [expected] * 10
     assert written(raced) == written(quiet)
-    assert raced._data == quiet._data
+    assert list(raced.entries()) == list(quiet.entries())
 
 
 def test_compositions_keep_their_checks():
