@@ -1,13 +1,9 @@
-"""Benchmark harness: experiment runners, Pareto analysis and table rendering.
+"""Paper experiments: registry, runners, Pareto analysis and table rendering.
 
 Every table and figure of the paper's evaluation (Section 7) has a runner in
 :mod:`repro.bench.experiments`, registered by id in :data:`repro.bench.EXPERIMENTS`;
 the pytest benchmarks under ``benchmarks/`` are thin drivers around these
 runners.
-
-:mod:`repro.bench.harness` is the *performance-evidence* side: declared
-experiment grids fill the committed ``BENCH_*.json`` run tables, and
-``compare_documents`` gates regressions in CI.
 """
 
 from repro.bench.ablations import (
@@ -33,34 +29,16 @@ from repro.bench.experiments import (
     run_table7_json_per_dataset,
     run_table8_tierbase,
 )
-from repro.bench.harness import (
-    AREAS,
-    BenchHarnessError,
-    ExperimentGrid,
-    compare_documents,
-    env_fingerprint,
-    load_document,
-    run_area,
-    validate_document,
-)
 from repro.bench.pareto import ParetoPoint, is_pareto_optimal, pareto_frontier
 from repro.bench.registry import EXPERIMENTS, Experiment, experiment_ids, get_experiment, run_all, run_experiment
 from repro.bench.reporting import render_comparison, render_table
 
 __all__ = [
-    "AREAS",
-    "BenchHarnessError",
     "BenchmarkSettings",
     "DEFAULT_SETTINGS",
     "EXPERIMENTS",
     "Experiment",
-    "ExperimentGrid",
     "ParetoPoint",
-    "compare_documents",
-    "env_fingerprint",
-    "load_document",
-    "run_area",
-    "validate_document",
     "experiment_ids",
     "get_experiment",
     "is_pareto_optimal",

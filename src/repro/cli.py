@@ -346,7 +346,6 @@ def _build_service(args: argparse.Namespace):
         sync_mode=getattr(args, "sync_mode", "flush"),
         cache_entries=args.cache_entries,
         train_size=args.train_size,
-        background_compaction=getattr(args, "background_compaction", True),
     )
     service = KVService(config)
     if args.compressor != "none" and not trained_state:
@@ -627,75 +626,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------- bench
-
-
-def _bench_overrides(args: argparse.Namespace) -> dict:
-    overrides: dict[str, object] = {}
-    for knob in ("operations", "values", "records", "rate", "clients", "workers", "seconds"):
-        value = getattr(args, knob, None)
-        if value is not None:
-            overrides[knob] = value
-    return overrides
-
-
-def _cmd_bench_run(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.bench import harness
-
-    progress = None if args.quiet else (lambda message: print(message, file=sys.stderr))
-    document = harness.run_area(
-        args.area,
-        repetitions=args.repetitions,
-        warmup=args.warmup,
-        overrides=_bench_overrides(args) or None,
-        progress=progress,
-    )
-    payload = json.dumps(document, indent=2) + "\n"
-    output = args.output
-    if output == "-":
-        print(payload, end="")
-        return 0
-    if output is None:
-        output = str(harness.default_output_path(args.area))
-    Path(output).write_text(payload, encoding="utf-8")
-    print(f"wrote {len(document['rows'])} rows to {output}")
-    if not args.raw:
-        print(render_table(document["rows"], title=f"bench {args.area} run table"))
-    return 0
-
-
-def _cmd_bench_compare(args: argparse.Namespace) -> int:
-    from repro.bench import harness
-
-    old_path = Path(args.old)
-    if not old_path.exists():
-        if args.require_baseline:
-            print(f"error: baseline {old_path} does not exist", file=sys.stderr)
-            return 2
-        print(f"warning: baseline {old_path} does not exist; nothing to compare", file=sys.stderr)
-        return 0
-    old_document = harness.load_document(old_path)
-    new_document = harness.load_document(args.new)
-    report, regressions = harness.compare_documents(
-        old_document,
-        new_document,
-        threshold=args.threshold,
-        latency_threshold=args.latency_threshold,
-    )
-    if args.raw:
-        import json
-
-        print(json.dumps({"threshold": args.threshold, "regressions": regressions, "cells": report}, indent=2))
-    else:
-        print(render_table(report, title=f"bench compare ({args.threshold:.0%} threshold)"))
-    if regressions:
-        print(f"error: {regressions} cell(s) regressed past the threshold", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _cmd_oplog_dump(args: argparse.Namespace) -> int:
     from repro.oplog import OP_CHECKPOINT, OP_DELETE, OP_PUT, iter_records
 
@@ -718,26 +648,6 @@ def _cmd_oplog_dump(args: argparse.Namespace) -> int:
         print(json.dumps(rows, indent=2))
     else:
         print(render_table(rows, title=f"oplog {args.file} ({len(rows)} records)"))
-    return 0
-
-
-def _cmd_bench_list(args: argparse.Namespace) -> int:
-    from repro.bench import harness
-
-    rows = [harness.get_area(name).summary_row() for name in harness.area_names()]
-    if args.raw:
-        import json
-
-        print(json.dumps(rows, indent=2))
-    else:
-        print(render_table(rows, title="Benchmark areas"))
-    return 0
-
-
-def _cmd_bench_profile(args: argparse.Namespace) -> int:
-    from repro.bench import harness
-
-    print(harness.profile_target(args.target, top=args.top, sort=args.sort))
     return 0
 
 
@@ -933,13 +843,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="lsm WAL durability per acknowledged write: none (buffered), flush "
              "(survives process kill; default), fsync (survives machine crash)",
     )
-    serve.add_argument(
-        "--no-background-compaction", dest="background_compaction",
-        action="store_false", default=True,
-        help="compact lsm shards inline on the write path instead of on the "
-             "per-shard background scheduler (deterministic, but sustained "
-             "writes sawtooth; ignored by tierbase)",
-    )
     serve.add_argument("--cache-entries", type=int, default=1024, help="compressed read-cache entries")
     serve.add_argument("--train-size", type=int, default=256, help="retraining reservoir size")
     serve.add_argument(
@@ -1092,88 +995,6 @@ def build_parser() -> argparse.ArgumentParser:
     experiment = subparsers.add_parser("experiment", help="run one registered experiment")
     experiment.add_argument("id", help="experiment id (see 'pbc experiments')")
     experiment.set_defaults(func=_cmd_experiment)
-
-    bench = subparsers.add_parser(
-        "bench", help="evidence-grade perf harness (BENCH_*.json run tables)"
-    )
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-
-    bench_run = bench_sub.add_parser(
-        "run", help="execute one experiment grid and write its BENCH_<area>.json"
-    )
-    bench_run.add_argument("area", help="experiment area (see 'pbc bench list')")
-    bench_run.add_argument(
-        "--repetitions", type=int, default=2, help="recorded repetitions per cell (default 2)"
-    )
-    bench_run.add_argument(
-        "--warmup", type=int, default=1, help="throwaway repetitions per cell (default 1)"
-    )
-    bench_run.add_argument(
-        "--operations", type=int, default=None, help="override the base operation count"
-    )
-    bench_run.add_argument(
-        "--values", type=int, default=None, help="override the base dataset value count"
-    )
-    bench_run.add_argument(
-        "--records", type=int, default=None, help="override the preloaded record count (service area)"
-    )
-    bench_run.add_argument(
-        "--rate", type=float, default=None, help="override the offered rate (service area)"
-    )
-    bench_run.add_argument(
-        "--clients", type=int, default=None, help="override the client thread count (wire area)"
-    )
-    bench_run.add_argument(
-        "--workers", type=int, default=None, help="override the worker thread count (service area)"
-    )
-    bench_run.add_argument(
-        "--seconds", type=float, default=None,
-        help="override the per-cell run duration (sustained area)",
-    )
-    bench_run.add_argument(
-        "--output", default=None,
-        help="output path (default BENCH_<area>.json in the working directory; '-' for stdout)",
-    )
-    bench_run.add_argument("--raw", action="store_true", help="skip the rendered run table")
-    bench_run.add_argument("--quiet", action="store_true", help="suppress per-cell progress lines")
-    bench_run.set_defaults(func=_cmd_bench_run)
-
-    bench_compare = bench_sub.add_parser(
-        "compare", help="diff two BENCH_*.json files; exit 1 past the regression threshold"
-    )
-    bench_compare.add_argument("old", help="baseline document (usually the committed one)")
-    bench_compare.add_argument("new", help="candidate document")
-    bench_compare.add_argument(
-        "--threshold", type=float, default=0.15,
-        help="allowed fractional throughput drop per cell (default 0.15)",
-    )
-    bench_compare.add_argument(
-        "--latency-threshold", type=float, default=None,
-        help="also fail cells whose mean p99 latency grows past this fraction "
-        "(default: latency is reported but never gates)",
-    )
-    bench_compare.add_argument(
-        "--require-baseline", action="store_true",
-        help="exit 2 when the baseline file is missing (default: warn and exit 0)",
-    )
-    bench_compare.add_argument("--raw", action="store_true", help="print the report as JSON")
-    bench_compare.set_defaults(func=_cmd_bench_compare)
-
-    bench_list = bench_sub.add_parser("list", help="table of the registered experiment areas")
-    bench_list.add_argument("--raw", action="store_true", help="print the areas as JSON")
-    bench_list.set_defaults(func=_cmd_bench_list)
-
-    bench_profile = bench_sub.add_parser(
-        "profile", help="cProfile one named hot-path workload"
-    )
-    bench_profile.add_argument(
-        "target", help="profile target: frame-decode, mvalue-decode, matcher, service-dispatch"
-    )
-    bench_profile.add_argument("--top", type=int, default=25, help="pstats rows to print (default 25)")
-    bench_profile.add_argument(
-        "--sort", default="cumulative", help="pstats sort key (default cumulative)"
-    )
-    bench_profile.set_defaults(func=_cmd_bench_profile)
 
     oplog = subparsers.add_parser(
         "oplog", help="inspect LSN-stamped operation-log artifacts"

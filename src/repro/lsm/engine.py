@@ -20,9 +20,9 @@ Compaction runs **off the write path** when ``background_compaction=True``: a
 writers continue, and L0 **admission control** (slowdown sleeps, then a
 condition-variable stall) throttles ``put()`` when tables pile up instead of
 parking it for a full merge — which is what keeps sustained-write throughput
-flat instead of sawtoothed.  The default is inline compaction after each
-flush, preserving the deterministic single-threaded behaviour the durability
-harness and the bare-engine tests rely on.
+flat instead of sawtoothed.  The service's lsm shards always run this way.
+The engine's default, inline compaction after each flush, exists for the
+deterministic single-threaded tests and the durability harness.
 
 Each level can use its own storage policy (``level_policies``): the service
 keeps the hot L0 raw, mid levels block-compressed, and cold levels on the

@@ -122,7 +122,8 @@ class _Cursor:
         The batched readers hoist the per-item method and attribute traffic
         of ``read_blob`` into a tight local-variable loop — on
         multi-hundred-item MVALUE / MKVALUE bodies that is the difference
-        the committed ``mvalue_batch_decode`` benchmark row measures.
+        the ``mvalue_batch_decode`` row of the frozen-history table in
+        ``docs/BENCHMARKS.md`` records.
         """
         raw = self._raw
         view = self._view

@@ -110,6 +110,12 @@ _REQUEST, _RESPONSE = "request", "response"
 SCAN_CHUNK_PAIRS = 256
 SCAN_CHUNK_BYTES = 64 * 1024
 
+#: Threads bridging blocking ``KVService`` calls off the event loop.
+BRIDGE_THREADS = 8
+
+#: Cap on emitted slow-request log lines per second.
+SLOW_LOG_PER_SECOND = 1.0
+
 
 def _chunk_scan_results(results: list[tuple[str, str]]) -> list[MultiKeyValueResponse]:
     """Split scan results into bounded MKVALUE frames, the last one final."""
@@ -140,8 +146,6 @@ class ServerConfig:
     max_inflight: int = 64
     #: frame body size limit handed to the decoder.
     max_body: int = DEFAULT_MAX_BODY
-    #: threads bridging blocking ``KVService`` calls off the event loop.
-    bridge_threads: int = 8
     #: seconds ``stop(drain=True)`` waits before force-closing connections.
     drain_timeout: float = 10.0
     #: whether the server records metrics at all (``False`` swaps the whole
@@ -160,18 +164,14 @@ class ServerConfig:
     rate_burst: int = 0
     #: slow-request log threshold in seconds (0 disables the slow log).
     slow_request_seconds: float = 0.0
-    #: cap on emitted slow-request log lines per second.
-    slow_log_per_second: float = 1.0
 
     def __post_init__(self) -> None:
         if self.max_inflight < 1:
             raise NetError("max_inflight must be at least 1")
-        if self.bridge_threads < 1:
-            raise NetError("bridge_threads must be at least 1")
         if self.metrics_port is not None and self.metrics_port < 0:
             raise NetError("metrics_port must be >= 0 (or None to disable)")
-        if self.slow_request_seconds < 0 or self.slow_log_per_second < 0:
-            raise NetError("slow-request settings must be >= 0 (0 disables)")
+        if self.slow_request_seconds < 0:
+            raise NetError("slow_request_seconds must be >= 0 (0 disables)")
         # RequestLimits re-validates the size/rate fields; building it here
         # surfaces a bad value at config time, not at first connection.
         self.limits()
@@ -212,7 +212,7 @@ class KVServer:
         self.config = config if config is not None else ServerConfig()
         self._server: asyncio.base_events.Server | None = None
         self._bridge = ThreadPoolExecutor(
-            max_workers=self.config.bridge_threads, thread_name_prefix="kv-net-bridge"
+            max_workers=BRIDGE_THREADS, thread_name_prefix="kv-net-bridge"
         )
         self._draining: asyncio.Event | None = None
         self._connection_tasks: set[asyncio.Task] = set()
@@ -221,10 +221,7 @@ class KVServer:
         self.protocol_errors = 0
         self._limits = self.config.limits()
         self._slow_log = (
-            SlowRequestLog(
-                self.config.slow_request_seconds,
-                per_second=self.config.slow_log_per_second,
-            )
+            SlowRequestLog(self.config.slow_request_seconds, per_second=SLOW_LOG_PER_SECOND)
             if self.config.slow_request_seconds > 0
             else None
         )

@@ -532,16 +532,14 @@ def make_shard_backend(
     directory: str | Path | None = None,
     train_size: int = 256,
     sync_mode: str = "flush",
-    background_compaction: bool = True,
 ) -> ShardBackend:
     """Build one shard backend of ``kind`` with a fresh compressor.
 
     With a base ``directory`` both backends are persistent under
     ``shard-NNN/`` subdirectories: lsm shards always (WAL + SSTables +
     models.bin), tierbase shards via ``TBS2`` snapshots written on flush.
-    ``background_compaction`` puts each lsm shard's compaction on its own
-    scheduler thread (admission-controlled writes); disable it for
-    strictly deterministic single-threaded shards.
+    Each lsm shard compacts on its own background scheduler thread
+    (admission-controlled writes).
     """
     compressor = make_value_compressor(compressor_name)
     shard_directory = (
@@ -557,6 +555,5 @@ def make_shard_backend(
             compressor,
             train_size=train_size,
             sync_mode=sync_mode,
-            background_compaction=background_compaction,
         )
     raise ServiceError(f"unknown shard backend {kind!r}; choose from {BACKEND_CHOICES}")

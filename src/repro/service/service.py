@@ -7,9 +7,9 @@ worker pools, inverted to the server side:
   of that shard, so the backends themselves need no internal locks and two
   operations on the same key cannot interleave.  Single-key operations (and
   batches that land on one shard) take the lock **inline on the calling
-  thread** — the committed ``service_inline_dispatch`` benchmark row measures
-  what that saves over the earlier submit-plus-``Future.result()`` handoff to
-  a per-shard worker thread;
+  thread** — the ``service_inline_dispatch`` row of the frozen-history table
+  in ``docs/BENCHMARKS.md`` records what that saved over the earlier
+  submit-plus-``Future.result()`` handoff to a per-shard worker thread;
 * every shard also keeps a **single-worker executor** for work that fans out
   across shards (flush, model install, snapshots, scans, multi-shard
   batches); its tasks take the same shard lock, so queued and inline work
@@ -92,10 +92,6 @@ class ServiceConfig:
     auto_retrain: bool = True
     #: sliding-window size of the latency recorders.
     latency_window: int = 8192
-    #: whether lsm shards compact on a background scheduler thread with
-    #: admission-controlled writes (off = inline compaction after flushes,
-    #: the deterministic single-threaded mode; ignored by tierbase).
-    background_compaction: bool = True
 
     def __post_init__(self) -> None:
         if self.shard_count < 1:
@@ -176,7 +172,6 @@ class KVService:
                     directory=self.config.directory,
                     train_size=self.config.train_size,
                     sync_mode=self.config.sync_mode,
-                    background_compaction=self.config.background_compaction,
                 ),
             )
             for shard_id in range(self.config.shard_count)

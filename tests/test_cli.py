@@ -57,6 +57,18 @@ class TestParser:
                 ["train", "--input", "a.txt", "--dataset", "kv1", "--output", "dict.json"]
             )
 
+    def test_there_is_no_bench_command(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["bench", "list"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+    def test_serve_always_compacts_in_the_background(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", "--backend", "lsm", "--no-background-compaction"])
+        assert excinfo.value.code == 2
+        assert "--no-background-compaction" in capsys.readouterr().err
+
 
 class TestListingCommands:
     def test_datasets_listing(self, capsys):

@@ -164,6 +164,39 @@ class TestBackgroundScheduler:
         engine.close()
         assert scheduler is not None and not scheduler.alive
 
+    def test_writer_never_merges_while_scheduler_lives(self, tmp_path, monkeypatch):
+        """Sustained puts stay flat under compaction because every merge runs
+        on the scheduler thread: a writer only throttles, it never merges."""
+        merge_threads: list[str] = []
+        merge_run = LSMEngine._merge_run
+
+        def recording_merge_run(self, *args, **kwargs):
+            merge_threads.append(threading.current_thread().name)
+            return merge_run(self, *args, **kwargs)
+
+        monkeypatch.setattr(LSMEngine, "_merge_run", recording_merge_run)
+        engine = LSMEngine(
+            tmp_path,
+            memtable_bytes=1024,
+            compaction_trigger=2,
+            sync_mode="none",
+            background_compaction=True,
+        )
+        try:
+            for index in range(2000):
+                engine.put(f"key:{index:05d}", "x" * 32)
+
+            def settled() -> bool:
+                with engine._lock:
+                    return engine._pick_compaction() is None
+
+            assert wait_until(settled)
+            assert engine._scheduler is not None and engine._scheduler.alive
+        finally:
+            engine.close()
+        assert merge_threads
+        assert all(name.startswith("lsm-compaction-") for name in merge_threads)
+
     def test_inline_engine_has_no_scheduler_and_never_throttles(self, tmp_path):
         with LSMEngine(tmp_path, memtable_bytes=1, compaction_trigger=2) as engine:
             assert engine._scheduler is None

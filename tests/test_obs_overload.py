@@ -17,9 +17,10 @@ import time
 
 import pytest
 
-from repro.exceptions import LimitExceededError, RateLimitedError, RemoteError
+from repro.exceptions import LimitExceededError, NetError, RateLimitedError, RemoteError
 from repro.loadgen import default_keys, mixed_operation, per_worker, preload, run_load
-from repro.net import KVClient, ServerConfig, ThreadedKVServer
+from repro.net import KVClient, KVServer, ServerConfig, ThreadedKVServer
+from repro.net.server import BRIDGE_THREADS, SLOW_LOG_PER_SECOND
 from repro.obs import parse_text
 from repro.service import KVService, ServiceConfig
 
@@ -206,4 +207,36 @@ class TestSizeLimits:
             assert _rejections(host, port) == {}
         finally:
             server.stop()
+            service.close()
+
+
+# ---------------------------------------------------------------- configuration
+
+
+class TestServerConfig:
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"max_inflight": 0},
+            {"metrics_port": -1},
+            {"slow_request_seconds": -0.5},
+            {"max_value_bytes": -1},
+            {"max_batch_items": -1},
+            {"rate_limit": -1.0},
+            {"rate_burst": -1},
+        ],
+    )
+    def test_invalid_values_are_rejected_at_config_time(self, override):
+        with pytest.raises(NetError):
+            ServerConfig(**override)
+
+    def test_bridge_and_slow_log_use_the_module_constants(self):
+        service = KVService(ServiceConfig(shard_count=1, compressor="none"))
+        server = KVServer(service, ServerConfig(slow_request_seconds=0.25))
+        try:
+            assert server._bridge._max_workers == BRIDGE_THREADS
+            assert server._slow_log.threshold_seconds == 0.25
+            assert server._slow_log._bucket.rate == SLOW_LOG_PER_SECOND
+        finally:
+            server._bridge.shutdown()
             service.close()

@@ -300,3 +300,10 @@ class TestLSMBackend:
             assert snapshot.ratio < 1.0
         # Shard directories were created on disk.
         assert sorted(path.name for path in tmp_path.iterdir()) == ["shard-000", "shard-001"]
+
+    def test_lsm_shards_always_compact_in_the_background(self, tmp_path):
+        config = ServiceConfig(shard_count=2, backend="lsm", compressor="none", directory=tmp_path)
+        with KVService(config) as service:
+            schedulers = [shard.backend.engine._scheduler for shard in service._shards]
+            assert all(scheduler is not None and scheduler.alive for scheduler in schedulers)
+        assert not any(scheduler.alive for scheduler in schedulers)
