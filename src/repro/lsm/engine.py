@@ -80,6 +80,27 @@ from repro.oplog.sink import LogSink
 QUARANTINE_DIR = "quarantine"
 
 
+def _newest(sources: Sequence[Iterable[tuple]]) -> Iterator[tuple]:
+    """Merge key-ordered ``(key, value)`` sources, oldest first, yielding
+    each key once with its newest value (tombstones, ``None``, included).
+
+    Every source is tagged with a rank (higher = newer) and merged on
+    ``(key, -rank)``: for a duplicated key the newest version surfaces first
+    and the older ones are skipped.  Ranks are distinct, so the merge never
+    compares values."""
+
+    def tagged(source, rank: int):
+        for key, value in source:
+            yield key, -rank, value
+
+    previous: str | None = None
+    ranked = [tagged(source, rank) for rank, source in enumerate(sources)]
+    for key, _, value in heapq.merge(*ranked):
+        if key != previous:
+            previous = key
+            yield key, value
+
+
 @dataclass
 class EngineStats:
     """Point-in-time statistics of an :class:`LSMEngine`."""
@@ -593,25 +614,10 @@ class LSMEngine:
             # iterator is parked, and a lazy view over it would blow up.
             memtable_entries = list(self._memtable.range(start, end))
 
-        # Tag every source with a rank (higher = newer) and merge on
-        # (key, -rank): for a duplicated key the newest version surfaces
-        # first and the older ones are skipped.  Ranks are distinct, so the
-        # merge never compares values.
-        def tagged(source, rank: int):
-            for key, value in source:
-                yield key, -rank, value
-
-        sources = [
-            tagged(table.range(start, end), rank)
-            for rank, table in enumerate(tables)  # oldest first
-        ]
-        sources.append(tagged(iter(memtable_entries), len(tables)))
+        sources = [table.range(start, end) for table in tables]
+        sources.append(memtable_entries)
         yielded = 0
-        previous: str | None = None
-        for key, _, value in heapq.merge(*sources):
-            if key == previous:
-                continue
-            previous = key
+        for key, value in _newest(sources):
             if value is None:
                 continue
             yield key, value
@@ -735,20 +741,23 @@ class LSMEngine:
         run: Sequence[SSTable], drop_tombstones: bool
     ) -> Iterable[tuple[str, str | None]]:
         """Newest-version-wins merge of the run's entries, streaming."""
-
-        def tagged(table: SSTable, rank: int):
-            for key, value in table.scan():
-                yield key, -rank, value
-
-        sources = [tagged(table, rank) for rank, table in enumerate(run)]
-        previous: str | None = None
-        for key, _, value in heapq.merge(*sources):
-            if key == previous:
-                continue
-            previous = key
+        for key, value in _newest([table.scan() for table in run]):
             if value is None and drop_tombstones:
                 continue
             yield key, value
+
+    def key_count(self) -> int:
+        """The number of live keys, ``sum(1 for _ in self.scan())`` without
+        decoding a value: a key-only merge over the memtable and every
+        table's stored entries, in which tombstones still shadow older
+        versions."""
+        self._require_open()
+        with self._lock:
+            tables = list(self._tables)
+            memtable_entries = list(self._memtable.items())
+        sources = [table.stored_entries() for table in tables]
+        sources.append(memtable_entries)
+        return sum(value is not None for _, value in _newest(sources))
 
     # ------------------------------------------------------------ measurement
 

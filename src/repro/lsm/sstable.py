@@ -92,6 +92,12 @@ class StoragePolicy(ABC):
     def iter_block(self, payload: bytes) -> Iterator[tuple[str, str | None]]:
         """Yield every entry of a block payload in key order."""
 
+    def stored_entries(self, payload: bytes) -> Iterator[tuple[str, object]]:
+        """Every ``(key, value)`` of a block payload in key order, a
+        tombstone's value ``None``; a live value may be left as it is stored
+        (whoever only counts keys must not pay for decoding)."""
+        return self.iter_block(payload)
+
     def lookup_in_block(self, payload: bytes, key: str) -> tuple[bool, str | None]:
         """Find ``key`` inside a block payload; returns ``(found, value)``."""
         for entry_key, value in self.iter_block(payload):
@@ -242,6 +248,9 @@ class RecordCompressionPolicy(StoragePolicy):
             payload[offset:],
             lambda value_bytes: self.compressor.decompress_at(value_bytes, epoch),
         )
+
+    def stored_entries(self, payload: bytes) -> Iterator[tuple[str, bytes | None]]:
+        return _decode_entries(payload[decode_uvarint(payload, 0)[1] :], bytes)
 
     def block_epoch(self, payload: bytes) -> int:
         """The model epoch stamped into a block header (diagnostics/tests)."""
@@ -673,6 +682,12 @@ class SSTable:
         """All entries in key order (tombstones included, used by compaction)."""
         for position in range(len(self._index)):
             yield from self.policy.iter_block(self._read_block(position))
+
+    def stored_entries(self) -> Iterator[tuple[str, object]]:
+        """All entries in key order, values as the policy stores them
+        (:meth:`StoragePolicy.stored_entries`; tombstones ``None``)."""
+        for position in range(len(self._index)):
+            yield from self.policy.stored_entries(self._read_block(position))
 
     def range(self, start: str | None = None, end: str | None = None) -> Iterator[tuple[str, str | None]]:
         """Entries with ``start <= key < end`` in key order (tombstones included).

@@ -219,6 +219,9 @@ class KVServer:
         self._stopped = False
         self.connections_served = 0
         self.protocol_errors = 0
+        #: decoded requests queued or executing, and the most there ever were
+        #: (exact: both change only on the event loop's thread)
+        self.inflight = self.inflight_high_water = 0
         self._limits = self.config.limits()
         self._slow_log = (
             SlowRequestLog(self.config.slow_request_seconds, per_second=SLOW_LOG_PER_SECOND)
@@ -546,6 +549,9 @@ class KVServer:
                     # is max_inflight + 2 (a full queue, one executing, one
                     # blocked in put here).
                     self._inflight.inc()
+                    self.inflight += 1
+                    if self.inflight > self.inflight_high_water:
+                        self.inflight_high_water = self.inflight
                     await queue.put((_REQUEST, request))
                 if failure is not None:
                     # The stream cannot be re-synchronised after bad bytes:
@@ -598,6 +604,7 @@ class KVServer:
                     response = await self._dispatch(payload, limiter)
                 finally:
                     self._inflight.dec()
+                    self.inflight -= 1
             else:
                 response = payload
             if not client_alive:

@@ -495,7 +495,7 @@ class LSMShard(ShardBackend):
             shard_id=shard_id,
             backend=self.name,
             compressor=self.compressor.name,
-            keys=sum(1 for _ in self.engine.scan()),
+            keys=self.engine.key_count(),
             original_bytes=monitor.original_bytes,
             stored_bytes=monitor.stored_bytes,
             sets=self._sets,

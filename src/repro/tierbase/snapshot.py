@@ -21,9 +21,11 @@ sequence instead of re-issuing sequence numbers.  Byte layout
                          uvarint(len(payload)) payload   (epoch-stamped)
                 crc32 u32-be                  (over everything above)
 
-A per-key record after its key is exactly the entry the store keeps in
-memory, so saving writes each entry behind its key and loading slices each
-one straight out of the file body.
+A writer emits the per-key records in key order, and a per-key record is
+exactly a record of the store's sorted pages, so saving writes the pages
+verbatim and loading slices the records straight out of the file body.  A
+reader accepts any order (older writers emitted first-insertion order): it
+sorts such a file's records by key, the last record of a repeated key winning.
 
 Legacy ``TBS1`` files (identical except no ``last_applied_lsn`` field) stay
 readable: they parse with a watermark of 0, exactly as a pre-LSN writer left
@@ -64,9 +66,12 @@ class SnapshotContent:
     #: persisted model store (``ValueCompressor.dump_models`` output), or
     #: ``None`` when the writer was an un-versioned compressor.
     models: bytes | None
-    #: ``(key, entry)`` per stored key, ``entry`` being the record after the
-    #: key: ``uvarint(original_size) ‖ uvarint(len(payload)) ‖ payload``.
-    entries: tuple[tuple[str, bytes], ...]
+    #: the per-key records in key order, concatenated, each
+    #: ``uvarint(len(key)) ‖ key ‖ uvarint(original_size) ‖
+    #: uvarint(len(payload)) ‖ payload``.
+    records: bytes
+    #: where each record starts in :attr:`records`.
+    starts: list[int]
     #: operation-log watermark at save time (0 for legacy ``TBS1`` files).
     last_applied_lsn: int = 0
 
@@ -84,12 +89,10 @@ def dump_snapshot(store) -> bytes:
         out += encode_uvarint(len(models))
         out += models
     out += encode_uvarint(getattr(store, "last_applied_lsn", 0))
-    out += encode_uvarint(len(store._entries))
-    for key, entry in store._entries.items():
-        key_bytes = key.encode("utf-8")
-        out += encode_uvarint(len(key_bytes))
-        out += key_bytes
-        out += entry
+    pages = store.pages()
+    out += encode_uvarint(len(store))
+    for page in pages:
+        out += page
     out += zlib.crc32(out).to_bytes(4, "big")
     return bytes(out)
 
@@ -135,22 +138,39 @@ def _parse_body(body: bytes, path: Path, legacy: bool) -> SnapshotContent:
     if not legacy:
         last_applied_lsn, offset = decode_uvarint(body, offset)
     key_count, offset = decode_uvarint(body, offset)
-    entries: list[tuple[str, bytes]] = []
+    keys: list[bytes] = []
+    starts: list[int] = []
     for _ in range(key_count):
+        starts.append(offset)
         key_length, offset = decode_uvarint(body, offset)
-        key = body[offset : offset + key_length].decode("utf-8")
-        start = offset + key_length
-        _, offset = decode_uvarint(body, start)
+        key = body[offset : offset + key_length]
+        key.decode("utf-8")  # a key must be UTF-8: raises on a damaged one
+        _, offset = decode_uvarint(body, offset + key_length)
         payload_length, offset = decode_uvarint(body, offset)
         offset += payload_length
         if offset > len(body):
             raise StoreError(f"{path} has a truncated payload for key {key!r}")
-        entries.append((key, body[start:offset]))
+        keys.append(key)
     if offset != len(body):
         raise StoreError(f"{path} has trailing bytes after the last snapshot entry")
+    ends = starts[1:] + [offset]
+    if all(key < following for key, following in zip(keys, keys[1:])):
+        base = starts[0] if starts else offset
+        records = body[base:offset]
+        starts = [start - base for start in starts]
+    else:
+        latest = {key: (start, end) for key, start, end in zip(keys, starts, ends)}
+        spans = [latest[key] for key in sorted(latest)]
+        records = b"".join(body[start:end] for start, end in spans)
+        starts = []
+        size = 0
+        for start, end in spans:
+            starts.append(size)
+            size += end - start
     return SnapshotContent(
         compressor_name=compressor_name,
         models=models,
-        entries=tuple(entries),
+        records=records,
+        starts=starts,
         last_applied_lsn=last_applied_lsn,
     )

@@ -18,17 +18,29 @@ trained model and leaves every stored payload untouched — each payload header
 names the epoch that wrote it, and the store ref-counts live payloads per
 epoch so superseded models are pruned only once nothing references them.
 
-Each key is held as one object, its ``TBS2`` record tail
-``uvarint(original_size) ‖ uvarint(len(payload)) ‖ payload`` (docs/FORMATS.md
-§8): replacing or deleting it re-reads its sizes and payload epoch, so the
-totals behind :meth:`TierBase.stats` are kept running.  Scans bisect a sorted
-key index — a sorted run plus the keys inserted since, merged lazily.
+The keys live in **sorted pages** behind a small write buffer.  A page is
+one ``bytes`` object holding up to :data:`PAGE_KEYS` consecutive ``TBS2``
+per-key records (docs/FORMATS.md §8), ``uvarint(len(key)) ‖ key ‖
+uvarint(original_size) ‖ uvarint(len(payload)) ‖ payload``, with its first key
+kept for ``bisect`` and its record start offsets in an ``array('H')``: every
+per-object overhead is spread over a page's keys, so resident memory follows
+the compressed payloads (Table 8).  A GET bisects to a page and looks for
+``uvarint(len(key)) ‖ key`` in it with ``bytes.find``, counting only a hit at
+a record start.  SETs and DELETEs (as ``None`` tombstones) land in a dict
+buffer that merges into the pages past :data:`BUFFER_KEYS` keys, rebuilding
+only the pages it touches; scans, snapshots and ``entries()`` merge it first
+and then walk the pages in key order.  Replacing or deleting a key re-reads
+its old entry's sizes and payload epoch, so the totals behind
+:meth:`TierBase.stats` are kept running.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from array import array
+from bisect import bisect_left, bisect_right
 from collections import Counter
+from itertools import accumulate
+from operator import itemgetter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -41,17 +53,66 @@ from repro.oplog.record import OP_DELETE, OP_PUT
 from repro.tierbase import snapshot as tbs
 from repro.tierbase.compression import NoopValueCompressor, ValueCompressor
 
-#: a delete merges the index first when more keys than this await a merge:
-#: repeated linear searches of a long unsorted tail cost more than one sort.
-_TAIL_SEARCH = 64
+#: most records a page holds (fewer when its record offsets would pass 0xFFFF)
+PAGE_KEYS = 64
+#: buffered SETs and DELETEs past which the buffer merges into the pages
+BUFFER_KEYS = 256
+
+#: ``_buffer.get`` default: the key has no buffered write, look in the pages
+_PAGED = object()
 
 
-def _split(entry: bytes) -> tuple[int, int]:
-    """``(original_size, payload offset)`` of a stored entry."""
-    if entry[0] < 0x80 and entry[1] < 0x80:
-        return entry[0], 2
-    original_size, offset = decode_uvarint(entry)
-    return original_size, decode_uvarint(entry, offset)[1]
+def _split(data: bytes, start: int = 0) -> tuple[int, int]:
+    """``(original_size, payload offset)`` of the entry at ``data[start:]``."""
+    if data[start] < 0x80 and data[start + 1] < 0x80:
+        return data[start], start + 2
+    original_size, offset = decode_uvarint(data, start)
+    return original_size, decode_uvarint(data, offset)[1]
+
+
+def _key_at(page: bytes, offset: int) -> tuple[bytes, int]:
+    """``(key, entry offset)`` of the record starting at ``page[offset]``."""
+    length = page[offset]
+    if length < 0x80:
+        offset += 1
+    else:
+        length, offset = decode_uvarint(page, offset)
+    return page[offset : offset + length], offset + length
+
+
+def _lower_bound(page: bytes, bounds: list[int], key: bytes, low: int = 0) -> int:
+    """The first record slot from ``low`` on whose key is not below ``key``
+    (``bounds``: the page's record offsets, then its length)."""
+    high = len(bounds) - 1
+    while low < high:
+        middle = (low + high) // 2
+        if _key_at(page, bounds[middle])[0] < key:
+            low = middle + 1
+        else:
+            high = middle
+    return low
+
+
+def _paginate(data: bytes, starts: list[int]) -> tuple[list[bytes], list[bytes], list[array]]:
+    """``(pages, first keys, record offsets)`` cut from ``data``, sorted records
+    starting at ``starts``: as few pages as :data:`PAGE_KEYS` allows, evenly
+    filled, each page's offsets within ``array('H')`` (records that all fit
+    one page stay ``data`` itself)."""
+    pages: list[bytes] = []
+    firsts: list[bytes] = []
+    offsets: list[array] = []
+    count = len(starts)
+    per_page = -(-count // -(-count // PAGE_KEYS)) if count else 0
+    first = 0
+    while first < count:
+        base = starts[first]
+        last = min(first + per_page, bisect_right(starts, base + 0xFFFF, first))
+        page = data[base : starts[last] if last < count else len(data)]
+        pages.append(page)
+        firsts.append(_key_at(page, 0)[0])
+        offsets.append(array("H", [start - base for start in starts[first:last]]))
+        first = last
+    return pages, firsts, offsets
 
 
 @dataclass
@@ -92,11 +153,18 @@ class TierBase:
             unmatched_threshold=unmatched_threshold,
         )
         self.monitor = self.lifecycle.monitor
-        #: key -> ``uvarint(original_size) ‖ uvarint(len(payload)) ‖ payload``
-        self._entries: dict[str, bytes] = {}
-        #: the key index: a sorted run + the keys inserted since (_sorted_keys)
-        self._sorted: list[str] = []
-        self._unsorted: list[str] = []
+        #: the sorted pages, each page's first key and its record offsets
+        self._pages: list[bytes] = []
+        self._first_keys: list[bytes] = []
+        self._offsets: list[array] = []
+        self._last_key = b""  # the greatest paged key
+        #: key -> entry (``uvarint(original_size) ‖ uvarint(len(payload)) ‖
+        #: payload``), or ``None`` for a delete, not yet merged into the pages
+        self._buffer: dict[str, bytes | None] = {}
+        self._live = 0
+        #: bumped by every SET batch, DELETE and merge: a parked scan walks on
+        #: afresh from the last key it yielded
+        self._version = 0
         #: running totals over the live entries: stats() is O(1)
         self._key_bytes = self._original_bytes = self._stored_bytes = 0
         #: the store's mutation spine: every SET/DELETE is sequenced through
@@ -161,23 +229,26 @@ class TierBase:
             [(OP_PUT, key, payload, epoch) for (key, _), payload in zip(items, payloads)]
         )
         self.compressor.acquire_epoch(epoch, len(payloads))
-        entries = self._entries
+        buffer = self._buffer
         original_bytes = stored_bytes = 0
         for (key, value), payload in zip(items, payloads):
-            previous = entries.get(key)
+            previous = self._locate(key)
             if previous is None:
-                self._unsorted.append(key)
+                self._live += 1
                 self._key_bytes += len(key.encode("utf-8"))
             else:
-                self.compressor.release_epoch(self._count(previous, -1))
+                self.compressor.release_epoch(self._count(*previous, -1))
             original_size = len(value.encode("utf-8"))
-            entries[key] = encode_uvarint(original_size) + encode_uvarint(len(payload)) + payload
+            buffer[key] = encode_uvarint(original_size) + encode_uvarint(len(payload)) + payload
             original_bytes += original_size
             stored_bytes += len(payload)
         self._original_bytes += original_bytes
         self._stored_bytes += stored_bytes
         self._sets += len(payloads)
         self.lifecycle.observe_many(values, original_bytes, stored_bytes)
+        self._version += 1
+        if len(buffer) > BUFFER_KEYS:
+            self._merge()
         return lsn
 
     def get(self, key: str) -> str:
@@ -195,14 +266,13 @@ class TierBase:
         as a GET in the store statistics.
         """
         self._gets += 1
-        entry = self._entries.get(key)
-        if entry is None:
+        found = self._locate(key)
+        if found is None:
             self._misses += 1
             return None
         self._hits += 1
-        if entry[0] < 0x80 and entry[1] < 0x80:
-            return entry[2:]
-        return entry[_split(entry)[1] :]
+        data, start, end = found
+        return data[_split(data, start)[1] : end]
 
     def delete(self, key: str) -> bool:
         """Remove ``key``; returns whether it existed.
@@ -213,49 +283,162 @@ class TierBase:
         observable as :attr:`last_applied_lsn`.
         """
         self.oplog.append(OP_DELETE, key)
-        entry = self._entries.pop(key, None)
-        if entry is None:
+        found = self._locate(key)
+        if found is None:
             return False
-        self.compressor.release_epoch(self._count(entry, -1))
+        self.compressor.release_epoch(self._count(*found, -1))
         self._key_bytes -= len(key.encode("utf-8"))
-        index = self._sorted_keys() if len(self._unsorted) > _TAIL_SEARCH else self._sorted
-        position = bisect_left(index, key)
-        if position < len(index) and index[position] == key:
-            del index[position]
-        else:
-            self._unsorted.remove(key)
+        self._live -= 1
+        self._buffer[key] = None
+        self._version += 1
+        if len(self._buffer) > BUFFER_KEYS:
+            self._merge()
         return True
 
-    def _count(self, entry: bytes, sign: int) -> int:
-        """Add (``sign`` 1) or take out (-1) an entry's sizes from the running
-        totals; returns its payload's epoch."""
-        original_size, offset = _split(entry)
+    def _count(self, data: bytes, start: int, end: int, sign: int) -> int:
+        """Add (``sign`` 1) or take out (-1) the sizes of the entry at
+        ``data[start:end]`` from the running totals; returns its payload's epoch."""
+        original_size, offset = _split(data, start)
         self._original_bytes += sign * original_size
-        self._stored_bytes += sign * (len(entry) - offset)
-        return self.compressor.payload_epoch(entry[offset:])
+        self._stored_bytes += sign * (end - offset)
+        return self.compressor.payload_epoch(data[offset:end])
 
-    def _sorted_keys(self) -> list[str]:
-        """The sorted index, with the keys inserted since the last call merged
-        in (Timsort merges the sorted run and a short tail in near-linear time)."""
-        if self._unsorted:
-            self._sorted += self._unsorted
-            self._unsorted.clear()
-            self._sorted.sort()
-        return self._sorted
+    # ------------------------------------------------------------------ pages
+
+    def _locate(self, key: str) -> tuple[bytes, int, int] | None:
+        """``(data, entry start, entry end)`` of ``key``'s live entry, in its
+        buffered write or its page."""
+        entry = self._buffer.get(key, _PAGED)
+        if entry is None:
+            return None
+        if entry is not _PAGED:
+            return entry, 0, len(entry)
+        key_bytes = key.encode("utf-8")
+        if key_bytes > self._last_key:
+            return None  # above every paged key: an append, as in a preload
+        index = bisect_right(self._first_keys, key_bytes) - 1
+        if index < 0:
+            return None
+        page, offsets = self._pages[index], self._offsets[index]
+        needle = encode_uvarint(len(key_bytes)) + key_bytes
+        # ``find`` may also match inside another record's payload; only a
+        # match at a recorded record start is the key's record.
+        position = page.find(needle)
+        while position >= 0:
+            slot = bisect_left(offsets, position)
+            if slot < len(offsets) and offsets[slot] == position:
+                end = offsets[slot + 1] if slot + 1 < len(offsets) else len(page)
+                return page, position + len(needle), end
+            position = page.find(needle, position + 1)
+        return None
+
+    def _merge(self) -> None:
+        """Merge the buffer into the pages, rebuilding only the pages its keys
+        fall in (keys above the last page rebuild only the last page)."""
+        if not self._buffer:
+            return
+        updates = sorted((key.encode("utf-8"), entry) for key, entry in self._buffer.items())
+        self._buffer = {}
+        self._version += 1
+        groups: list[tuple[int, list[tuple[bytes, bytes | None]]]] = []
+        following = None  # the first key of the page after the last group's
+        for update in updates:
+            if groups and (following is None or update[0] < following):
+                groups[-1][1].append(update)
+                continue
+            index = max(bisect_right(self._first_keys, update[0]) - 1, 0)
+            following = self._first_keys[index + 1] if index + 1 < len(self._pages) else None
+            groups.append((index, [update]))
+        # Right to left, so a rebuilt page never shifts the ones still to come.
+        for index, group in reversed(groups):
+            span = slice(index, index + 1) if self._pages else slice(0, 0)
+            pages, firsts, offsets = _paginate(*self._splice(index, group))
+            self._pages[span] = pages
+            self._first_keys[span] = firsts
+            self._offsets[span] = offsets
+        self._last_key = _key_at(self._pages[-1], self._offsets[-1][-1])[0] if self._pages else b""
+
+    def _splice(
+        self, index: int, updates: list[tuple[bytes, bytes | None]]
+    ) -> tuple[bytes, list[int]]:
+        """``(records, record starts)`` of page ``index`` with sorted
+        ``updates`` applied: an entry replaces or inserts its key's record,
+        ``None`` drops it.  Untouched runs of records are copied as one slice,
+        and updates above the page's last key are appended without a search."""
+        page = self._pages[index] if self._pages else b""
+        bounds = (self._offsets[index].tolist() if self._pages else []) + [len(page)]
+        count = len(bounds) - 1
+        last_key = _key_at(page, bounds[-2])[0] if count else b""
+        view = memoryview(page)  # runs are joined from views, not copied twice
+        pieces: list[bytes | memoryview] = []
+        starts: list[int] = []
+        size = slot = 0
+
+        def copy(stop: int) -> None:
+            nonlocal size
+            if stop > slot:
+                shift = size - bounds[slot]
+                if shift:
+                    starts.extend([bounds[i] + shift for i in range(slot, stop)])
+                else:
+                    starts.extend(bounds[slot:stop])
+                pieces.append(view[bounds[slot] : bounds[stop]])
+                size += bounds[stop] - bounds[slot]
+
+        inside = bisect_right(updates, last_key, key=itemgetter(0))
+        for key, entry in updates[:inside]:
+            low = _lower_bound(page, bounds, key, slot)
+            copy(low)
+            slot = low + (low < count and _key_at(page, bounds[low])[0] == key)
+            if entry is not None:
+                starts.append(size)
+                pieces.append(encode_uvarint(len(key)) + key + entry)
+                size += len(pieces[-1])
+        copy(count)
+        appended = [
+            encode_uvarint(len(key)) + key + entry
+            for key, entry in updates[inside:]
+            if entry is not None
+        ]
+        starts.extend(accumulate(map(len, appended[:-1]), initial=size) if appended else ())
+        pieces += appended
+        return b"".join(pieces), starts
+
+    def _paged(self, low: bytes, high: bytes | None) -> Iterator[tuple[bytes, bytes, int, int]]:
+        """``(key, page, entry start, entry end)`` of every paged record with
+        a key ``>= low`` and below ``high``, in key order."""
+        index = first = max(bisect_right(self._first_keys, low) - 1, 0)
+        while index < len(self._pages):
+            page = self._pages[index]
+            bounds = self._offsets[index].tolist() + [len(page)]
+            skip = _lower_bound(page, bounds, low) if index == first else 0
+            for slot in range(skip, len(bounds) - 1):
+                key, start = _key_at(page, bounds[slot])
+                if high is not None and key >= high:
+                    return
+                yield key, page, start, bounds[slot + 1]
+            index += 1
+
+    def pages(self) -> list[bytes]:
+        """The buffer merged in, the pages in key order: their concatenation is
+        the key records of a ``TBS2`` snapshot."""
+        self._merge()
+        return list(self._pages)
 
     def exists(self, key: str) -> bool:
         """Whether ``key`` is present."""
-        return key in self._entries
+        return self._locate(key) is not None
 
     def keys(self) -> Iterator[str]:
         """Iterate over all stored keys in sorted order.
 
         Sorted iteration is a contract, not an accident: the service layer's
         range scans merge per-shard streams in key order, so every backend
-        must produce ordered keys.  (Before range scans existed this leaked
-        dict insertion order.)  It walks a copy: the store may change meanwhile.
+        must produce ordered keys.  It walks a copy: the store may change
+        meanwhile.
         """
-        return iter(list(self._sorted_keys()))
+        self._merge()
+        return iter([key.decode("utf-8") for key, _, _, _ in self._paged(b"", None)])
 
     def scan(
         self, start: str | None = None, end: str | None = None, limit: int | None = None
@@ -270,31 +453,40 @@ class TierBase:
         """
         if limit is not None and limit <= 0:
             return
-        index = self._sorted_keys()
-        low = 0 if start is None else bisect_left(index, start)
-        high = len(index) if end is None else bisect_left(index, end)
-        if limit is not None:
-            high = min(high, low + limit)
-        for key in index[low:high]:
-            entry = self._entries.get(key)
-            if entry is None:
-                continue
-            self._gets += 1
-            self._hits += 1
-            yield key, self.compressor.decompress(entry[_split(entry)[1] :])
+        low = b"" if start is None else start.encode("utf-8")
+        high = None if end is None else end.encode("utf-8")
+        while True:
+            self._merge()
+            version = self._version
+            for key, page, entry_start, entry_end in self._paged(low, high):
+                if self._version != version:
+                    break  # written meanwhile: walk on from ``low`` afresh
+                low = key + b"\x00"  # the least key above this one
+                self._gets += 1
+                self._hits += 1
+                yield key.decode("utf-8"), self.compressor.decompress(
+                    page[_split(page, entry_start)[1] : entry_end]
+                )
+                if limit is not None:
+                    limit -= 1
+                    if limit == 0:
+                        return
+            else:
+                return
 
     def entries(self) -> Iterator[tuple[str, int, bytes]]:
         """``(key, original_size, payload)`` per stored key, in the order a
-        snapshot writes them (first insertion).  A read, not a GET: no counter moves."""
-        for key, entry in list(self._entries.items()):
-            original_size, offset = _split(entry)
-            yield key, original_size, entry[offset:]
+        snapshot writes them (key order).  A read, not a GET: no counter moves."""
+        self._merge()
+        for key, page, start, end in list(self._paged(b"", None)):
+            original_size, offset = _split(page, start)
+            yield key.decode("utf-8"), original_size, page[offset:end]
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self._live
 
     def __contains__(self, key: str) -> bool:
-        return key in self._entries
+        return self.exists(key)
 
     # ------------------------------------------------------------ persistence
 
@@ -350,14 +542,18 @@ class TierBase:
             )
         if content.models is not None:
             store.compressor.load_models(content.models)
+        records, starts = content.records, content.starts
         epochs = Counter()
-        for key, entry in content.entries:
-            epochs[store._count(entry, 1)] += 1
-            store._entries[key] = entry
-            store._key_bytes += len(key.encode("utf-8"))
+        for start, end in zip(starts, starts[1:] + [len(records)]):
+            key, entry_start = _key_at(records, start)
+            store._key_bytes += len(key)
+            epochs[store._count(records, entry_start, end, 1)] += 1
         for epoch, count in epochs.items():
             store.compressor.acquire_epoch(epoch, count)
-        store._unsorted = list(store._entries)
+        store._pages, store._first_keys, store._offsets = _paginate(records, starts)
+        if starts:
+            store._last_key = _key_at(records, starts[-1])[0]
+        store._live = len(starts)
         # Snapshot entries are *applied*, not re-logged — they already carry
         # the LSNs the writer assigned; resume the sequence past the stamp
         # (0 for legacy TBS1 snapshots, which predate LSNs).
@@ -385,7 +581,7 @@ class TierBase:
     def stats(self) -> StoreStats:
         """Aggregate statistics snapshot."""
         return StoreStats(
-            keys=len(self._entries),
+            keys=self._live,
             memory_bytes=self.memory_bytes,
             original_value_bytes=self._original_bytes,
             stored_value_bytes=self._stored_bytes,

@@ -11,13 +11,16 @@ compares `engine.scan(start, end)` against the equivalent slice of a
   SSTable below still holds a value for it;
 * `limit` returns exactly the first N live entries (and never scans past
   them);
-* reversed or empty bounds yield an empty scan.
+* reversed or empty bounds yield an empty scan;
+* `key_count()` equals the number of keys a full scan yields, through
+  put, delete, flush, compaction and reopen, and decodes no value.
 """
 
 from hypothesis import given, settings, strategies as st
 from sortedcontainers import SortedDict
 
-from repro.lsm import LSMEngine
+from repro.lsm import LSMEngine, RecordCompressionPolicy
+from repro.tierbase import NoopValueCompressor
 
 # Small memtable so flushes create real multi-SSTable layouts quickly.
 ENGINE_KWARGS = {"memtable_bytes": 512, "block_bytes": 128, "sync_mode": "none"}
@@ -154,3 +157,37 @@ class TestScanEdgeCases:
             before = list(engine.scan())
             engine.flush()
             assert list(engine.scan()) == before
+
+
+class CountingCompressor(NoopValueCompressor):
+    """Stores values as UTF-8 and counts every value it decodes."""
+
+    decodes = 0
+
+    def decompress_at(self, data: bytes, epoch: int) -> str:
+        self.decodes += 1
+        return super().decompress_at(data, epoch)
+
+
+class TestKeyCount:
+    @SCAN_SETTINGS
+    @given(steps=st.lists(STEPS, max_size=40), more=st.lists(STEPS, max_size=10))
+    def test_key_count_is_the_scan_length_and_decodes_nothing(
+        self, tmp_path_factory, steps, more
+    ):
+        tmp_path = tmp_path_factory.mktemp("lsm-count")
+        compressor = CountingCompressor()
+        kwargs = dict(ENGINE_KWARGS, policy=RecordCompressionPolicy(compressor))
+        model = SortedDict()
+        with LSMEngine(tmp_path, **kwargs) as engine:
+            apply_steps(engine, model, steps)
+            before = compressor.decodes
+            assert engine.key_count() == len(model)
+            assert compressor.decodes == before
+            assert engine.key_count() == sum(1 for _ in engine.scan())
+        with LSMEngine(tmp_path, **kwargs) as engine:  # reopen: WAL replay + tables
+            apply_steps(engine, model, more)
+            before = compressor.decodes
+            assert engine.key_count() == len(model)
+            assert compressor.decodes == before
+            assert engine.key_count() == sum(1 for _ in engine.scan())
