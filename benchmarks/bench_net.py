@@ -1,10 +1,10 @@
 """Wire throughput — the RKV1 server/client stack vs the in-process service.
 
 Serves a 2-shard `repro.service.KVService` on an ephemeral localhost port
-(`repro.net.ThreadedKVServer`) and drives the mixed GET/SET workload the
+(`repro.net.KVServer`) and drives the mixed GET/SET workload the
 `repro client bench` CLI exposes through the one load driver
 (`repro.loadgen`), then hands the same driver the `KVService` itself as the
-in-process baseline — the gap is the protocol + socket + event-loop cost per
+in-process baseline — the gap is the protocol + socket + thread cost per
 operation.
 
 A pipelining-depth sweep (1 → 16 single-key frames per round trip) shows the
@@ -17,7 +17,7 @@ substrate, the *shape* is the assertion, not absolute numbers.
 from repro.bench import render_table
 from repro.datasets import load_dataset
 from repro.loadgen import default_keys, mixed_operation, per_worker, preload, run_load
-from repro.net import KVClient, ServerConfig, ThreadedKVServer
+from repro.net import KVClient, KVServer, ServerConfig
 from repro.service import KVService, ServiceConfig
 
 #: Workload parameters (small: the substrate is pure Python).
@@ -52,7 +52,7 @@ def run_net_benchmark(dataset: str = "kv1") -> dict:
     service.train(values[:256])
     outcome: dict = {"sweep": []}
     try:
-        with ThreadedKVServer(service, ServerConfig(port=0, max_inflight=64)) as server:
+        with KVServer(service, ServerConfig(port=0, max_inflight=64)) as server:
             outcome["batched"] = run_over_wire(
                 server, keys, values, OPERATIONS, CLIENTS, seed=2023, batch=BATCH_SIZE
             )
@@ -124,7 +124,7 @@ def test_wire_single_client_correctness(benchmark):
         values = load_dataset("kv1", count=120)
         service = KVService(ServiceConfig(shard_count=1, compressor="none"))
         try:
-            with ThreadedKVServer(service, ServerConfig(port=0)) as server:
+            with KVServer(service, ServerConfig(port=0)) as server:
                 return run_over_wire(
                     server, default_keys(120), values, 200, 1, seed=2023, pipeline=True
                 )

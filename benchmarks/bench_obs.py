@@ -19,7 +19,7 @@ import time
 from repro.bench import render_table
 from repro.datasets import load_dataset
 from repro.loadgen import mixed_operation, per_worker, run_load
-from repro.net import KVClient, ServerConfig, ThreadedKVServer
+from repro.net import KVClient, KVServer, ServerConfig
 from repro.service import KVService, ServiceConfig
 
 #: Unpipelined GETs per timed pass (one pass = one per-op sample).
@@ -45,7 +45,7 @@ def run_overhead_benchmark() -> dict:
     modes: dict[bool, dict] = {}
     for enabled in (True, False):
         service = KVService(ServiceConfig(shard_count=1, compressor="none"))
-        server = ThreadedKVServer(
+        server = KVServer(
             service, ServerConfig(port=0, metrics_enabled=enabled)
         )
         server.start()

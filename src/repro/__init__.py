@@ -13,7 +13,7 @@ The bigger subsystems are imported explicitly from their own packages:
   storage substrates,
 * :mod:`repro.stream` — seekable containers and the parallel pipeline,
 * :mod:`repro.service` — the sharded concurrent KV service,
-* :mod:`repro.net` — the ``RKV1`` wire protocol, asyncio server, and
+* :mod:`repro.net` — the ``RKV1`` wire protocol, thread-per-connection server, and
   clients (``repro serve`` / ``repro client``); :class:`KVServer`,
   :class:`KVClient` and :class:`AsyncKVClient` are also re-exported lazily
   from this package.

@@ -22,13 +22,16 @@ file-based workflow:
   reports per-shard compression ratios, cache hit rate and latency
   percentiles.
 * ``pbc serve`` / ``pbc client get|set|del|ping|stats|metrics|bench`` — the
-  :mod:`repro.net` subsystem: the asyncio ``RKV1`` wire server over the KV
-  service (with a ``--metrics-port`` Prometheus sidecar and overload limits),
+  :mod:`repro.net` subsystem: the thread-per-connection ``RKV1`` wire server
+  over the KV service (with a ``--metrics-port`` Prometheus sidecar and
+  overload limits),
   and the pooled client (including the mixed wire workload driver with a
   pipelining-depth knob and an open-loop ``--rate`` mode).
 
 Every command is a thin veneer over the library API, so anything the CLI does
-can also be done programmatically.
+can also be done programmatically.  Subsystems a command needs are imported
+by its handler, so ``repro serve`` never loads the experiment registry or the
+stream pipeline.
 """
 
 from __future__ import annotations
@@ -39,30 +42,25 @@ from pathlib import Path
 from typing import Sequence
 
 from repro import ExtractionConfig, PatternDictionary, PBCCompressor, __version__
-from repro.bench import render_table
-from repro.bench.registry import EXPERIMENTS, get_experiment
-from repro.codecs import trainable_codec_names
+from repro.codecs import codec_names, trainable_codec_names
 from repro.compressors import available_codecs
 from repro.datasets import DATASET_SPECS, EXTRA_DATASET_SPECS, dataset_statistics, load_dataset
 from repro.entropy.varint import decode_uvarint, encode_uvarint
 from repro.exceptions import ReproError
 from repro.lsm.wal import SYNC_MODES
-from repro.stream import (
-    AdaptiveConfig,
-    StreamConfig,
-    StreamContainerReader,
-    StreamReader,
-    compress_stream,
-    decompress_stream,
-    frame_codec_by_id,
-    frame_codec_names,
-)
 
 #: Magic prefix of compressed record files produced by ``pbc compress``.
 _FILE_MAGIC = b"PBC1"
 
 
 # ------------------------------------------------------------------ utilities
+
+
+def render_table(rows, title: str | None = None) -> str:
+    """:func:`repro.bench.render_table`, imported when a command prints one."""
+    from repro.bench import render_table as render
+
+    return render(rows, title=title)
 
 
 def _read_records(path: Path) -> list[str]:
@@ -194,6 +192,8 @@ def _stream_input_records(args: argparse.Namespace) -> list[str]:
 
 
 def _cmd_stream_compress(args: argparse.Namespace) -> int:
+    from repro.stream import AdaptiveConfig, StreamConfig, compress_stream
+
     records = _stream_input_records(args)
     if not records:
         print("error: no input records", file=sys.stderr)
@@ -220,6 +220,8 @@ def _cmd_stream_compress(args: argparse.Namespace) -> int:
 
 
 def _cmd_stream_decompress(args: argparse.Namespace) -> int:
+    from repro.stream import decompress_stream
+
     records = decompress_stream(Path(args.input), workers=args.workers)
     Path(args.output).write_text("\n".join(records) + ("\n" if records else ""), encoding="utf-8")
     print(f"decompressed {len(records)} records to {args.output}")
@@ -227,6 +229,8 @@ def _cmd_stream_decompress(args: argparse.Namespace) -> int:
 
 
 def _cmd_stream_inspect(args: argparse.Namespace) -> int:
+    from repro.stream import StreamContainerReader, frame_codec_by_id
+
     with StreamContainerReader(Path(args.input)) as container:
         print(
             f"stream container v{container.version}: "
@@ -248,6 +252,8 @@ def _cmd_stream_inspect(args: argparse.Namespace) -> int:
 
 
 def _cmd_stream_get(args: argparse.Namespace) -> int:
+    from repro.stream import StreamReader
+
     with StreamReader(Path(args.input)) as reader:
         record = reader.get(args.index)
         if args.verbose:
@@ -355,53 +361,44 @@ def _build_service(args: argparse.Namespace):
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
+    import threading
 
     from repro.net import KVServer, ServerConfig
 
     service, reopened, cleanup = _build_service(args)
-
-    async def main() -> None:
-        server = KVServer(
-            service,
-            ServerConfig(
-                host=args.host,
-                port=args.port,
-                max_inflight=args.max_inflight,
-                metrics_port=args.metrics_port,
-                max_value_bytes=args.max_value_bytes,
-                max_batch_items=args.max_batch_items,
-                rate_limit=args.rate_limit,
-                rate_burst=args.rate_burst,
-                slow_request_seconds=args.slow_ms / 1e3,
-            ),
-        )
-        await server.start()
-        host, port = server.address
-        state = f"reopened {len(service)} key(s) from {args.directory}" if reopened else "fresh"
-        print(
-            f"serving {args.shards} {args.backend} shard(s) "
-            f"({args.compressor} compression, {state}) on {host}:{port}"
-        )
-        if server.metrics_sidecar is not None:
-            metrics_host, metrics_port = server.metrics_address
-            print(f"metrics on http://{metrics_host}:{metrics_port}/metrics")
-        try:
-            if args.serve_seconds is None:
-                await server.serve_forever()
-            else:
-                await asyncio.sleep(args.serve_seconds)
-        finally:
-            await server.stop()
-            print(
-                f"drained: {server.connections_served} connection(s) served, "
-                f"{len(service)} key(s) stored"
-            )
-
+    config = ServerConfig(
+        host=args.host,
+        port=args.port,
+        max_inflight=args.max_inflight,
+        metrics_port=args.metrics_port,
+        max_value_bytes=args.max_value_bytes,
+        max_batch_items=args.max_batch_items,
+        rate_limit=args.rate_limit,
+        rate_burst=args.rate_burst,
+        slow_request_seconds=args.slow_ms / 1e3,
+    )
     try:
-        asyncio.run(main())
-    except KeyboardInterrupt:
-        print("interrupted", file=sys.stderr)
+        with KVServer(service, config) as server:
+            host, port = server.address
+            state = f"reopened {len(service)} key(s) from {args.directory}" if reopened else "fresh"
+            print(
+                f"serving {args.shards} {args.backend} shard(s) "
+                f"({args.compressor} compression, {state}) on {host}:{port}",
+                flush=True,
+            )
+            if server.metrics_sidecar is not None:
+                metrics_host, metrics_port = server.metrics_address
+                print(f"metrics on http://{metrics_host}:{metrics_port}/metrics", flush=True)
+            try:
+                # Serve on the server's threads; this one only waits (forever
+                # without --serve-seconds) for the deadline or Ctrl-C.
+                threading.Event().wait(args.serve_seconds)
+            except KeyboardInterrupt:
+                print("interrupted", file=sys.stderr)
+        print(
+            f"drained: {server.connections_served} connection(s) served, "
+            f"{len(service)} key(s) stored"
+        )
     finally:
         service.close()
         cleanup()
@@ -606,6 +603,8 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiments(_: argparse.Namespace) -> int:
+    from repro.bench.registry import EXPERIMENTS
+
     rows = [
         {
             "id": experiment.experiment_id,
@@ -620,6 +619,8 @@ def _cmd_experiments(_: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    from repro.bench.registry import get_experiment
+
     experiment = get_experiment(args.id)
     rows = experiment.runner()
     print(render_table(rows, title=f"{experiment.paper_artifact}: {experiment.description}"))
@@ -728,7 +729,7 @@ def build_parser() -> argparse.ArgumentParser:
     stream_compress.add_argument(
         "--codec",
         default="adaptive",
-        choices=["adaptive"] + frame_codec_names(),
+        choices=["adaptive"] + codec_names(),
         help="frame codec, or 'adaptive' for per-frame selection (default)",
     )
     stream_compress.add_argument(

@@ -11,14 +11,13 @@ opaque payloads; the pattern-based PBC codecs are record-oriented and
 additionally override ``encode_record``/``decode_record`` so per-value callers
 (TierBase, the service shards, SSTable record policies) go through the same
 trained-model plumbing as frame encoders.  Trained per-record compressors are
-memoised per thread keyed by the model-payload digest, so a shared dictionary
+memoised per thread keyed by the model-payload bytes, so a shared dictionary
 is deserialised once per worker rather than once per record.
 """
 
 from __future__ import annotations
 
 import gzip
-import hashlib
 import lzma
 import threading
 from typing import Iterable, Sequence
@@ -291,7 +290,7 @@ class _BoundByteCoder:
 # ------------------------------------------------ per-thread trained-model cache
 
 #: Per-thread cache of deserialised trained-model objects (PBC compressors,
-#: FSST symbol tables, Zstd codecs) keyed by (discriminator..., model digest),
+#: FSST symbol tables, Zstd codecs) keyed by (discriminator..., model bytes),
 #: so a shared model is deserialised once per worker rather than once per
 #: record/frame.  Thread-local storage gives each worker its own dict and
 #: budget: no lock, no cross-thread races on PBCCompressor's mutable
@@ -305,7 +304,7 @@ def _cached_model(key_parts: tuple, model_payload: bytes, build):
     cache: dict[tuple, object] | None = getattr(_MODEL_CACHE, "entries", None)
     if cache is None:
         cache = _MODEL_CACHE.entries = {}
-    key = (*key_parts, hashlib.sha1(model_payload).digest())
+    key = (*key_parts, model_payload)
     value = cache.get(key)
     if value is None:
         value = build(model_payload)

@@ -8,16 +8,26 @@ the same; the filter is serialised into the SSTable footer section.
 
 from __future__ import annotations
 
-import hashlib
 import math
 
 from repro.entropy.varint import decode_uvarint, encode_uvarint
 from repro.exceptions import StoreError
 
+# SHA-256 from the interpreter's builtin module: ``hashlib`` would map
+# OpenSSL's libcrypto into every process that opens an SSTable.  The digest is
+# the same, so filters written either way read back identically.
+try:
+    from _sha2 import sha256  # Python >= 3.12
+except ImportError:  # pragma: no cover - depends on the interpreter
+    try:
+        from _sha256 import sha256  # Python 3.11
+    except ImportError:
+        from hashlib import sha256
+
 
 def _hash_pair(key: bytes) -> tuple[int, int]:
     """Two independent 64-bit hashes of ``key`` (used for double hashing)."""
-    digest = hashlib.sha256(key).digest()
+    digest = sha256(key).digest()
     return int.from_bytes(digest[:8], "big"), int.from_bytes(digest[8:16], "big")
 
 

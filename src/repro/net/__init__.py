@@ -9,11 +9,12 @@ traffic:
   u8 opcode, uvarint lengths), typed request/response dataclasses, and an
   incremental :class:`FrameDecoder` that tolerates partial reads and maps
   every malformed input to a typed :class:`~repro.exceptions.ProtocolError`;
-* :mod:`repro.net.server` — the asyncio :class:`KVServer` (per-connection
-  reader task, request pipelining with a bounded in-flight queue for
-  backpressure, graceful drain on shutdown) and the thread-hosted
-  :class:`ThreadedKVServer` harness; service calls are bridged with
-  ``run_in_executor`` so the shard executors keep backend ownership;
+* :mod:`repro.net.server` — the blocking :class:`KVServer`: one accept
+  thread plus one thread per connection that decodes, dispatches inline and
+  answers each burst with one ``sendall`` (request pipelining, at most
+  ``max_inflight`` frames decoded per connection for backpressure, graceful
+  drain on shutdown); a context manager whose ``start()`` returns the bound
+  address;
 * :mod:`repro.net.client` — the pooled synchronous :class:`KVClient` (with
   :class:`Pipeline` for N-requests-per-round-trip) and the asyncio
   :class:`AsyncKVClient`; server errors come back as typed
@@ -34,10 +35,10 @@ value/batch size caps) whose rejections reach clients as typed
 Quick start::
 
     from repro.service import KVService, ServiceConfig
-    from repro.net import KVClient, ServerConfig, ThreadedKVServer
+    from repro.net import KVClient, KVServer, ServerConfig
 
     service = KVService(ServiceConfig(shard_count=2, compressor="none"))
-    with ThreadedKVServer(service, ServerConfig(port=0)) as server:
+    with KVServer(service, ServerConfig(port=0)) as server:
         host, port = server.address
         with KVClient(host, port) as client:
             client.set("k", "v")
@@ -77,7 +78,7 @@ from repro.net.protocol import (
     encode_frame,
     opcode_table,
 )
-from repro.net.server import KVServer, ServerConfig, ThreadedKVServer
+from repro.net.server import KVServer, ServerConfig
 
 __all__ = [
     "AsyncKVClient",
@@ -107,7 +108,6 @@ __all__ = [
     "SetRequest",
     "StatsRequest",
     "StatsResponse",
-    "ThreadedKVServer",
     "ValueResponse",
     "decode_frames",
     "encode_frame",

@@ -25,7 +25,6 @@ Failures are typed:
 
 from __future__ import annotations
 
-import asyncio
 import json
 import socket
 import threading
@@ -412,12 +411,16 @@ class AsyncKVClient:
         self._writer = writer
         self._decoder = FrameDecoder(max_body=max_body)
         self._pending: list[Message] = []
+        import asyncio  # here, so the sync client and the server never load it
+
         self._lock = asyncio.Lock()
 
     @classmethod
     async def connect(
         cls, host: str = "127.0.0.1", port: int = 9100, max_body: int = DEFAULT_MAX_BODY
     ) -> "AsyncKVClient":
+        import asyncio
+
         try:
             reader, writer = await asyncio.open_connection(host, port)
         except OSError as error:

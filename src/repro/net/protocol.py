@@ -683,8 +683,14 @@ class FrameDecoder:
         """The error that poisoned this decoder, if any (see :meth:`feed`)."""
         return self._failure
 
-    def feed(self, data: bytes | bytearray | memoryview) -> list[Message]:
+    def feed(
+        self, data: bytes | bytearray | memoryview, limit: int | None = None
+    ) -> list[Message]:
         """Consume ``data`` and return every message completed by it.
+
+        With ``limit``, at most that many are returned and the rest stay
+        buffered for the next call (``feed(b"", limit)`` resumes): the server
+        decodes no more frames than it lets be in flight.
 
         ``data`` may be ``bytes``, a ``bytearray`` or a ``memoryview`` (the
         fuzz suite feeds all three).  Parsing walks the receive buffer with
@@ -707,7 +713,7 @@ class FrameDecoder:
         offset = 0
         view = memoryview(buffer)
         try:
-            while True:
+            while limit is None or len(messages) < limit:
                 try:
                     parsed = self._try_parse(buffer, view, offset)
                 except ProtocolError as error:
@@ -719,6 +725,7 @@ class FrameDecoder:
                     return messages
                 message, offset = parsed
                 messages.append(message)
+            return messages
         finally:
             view.release()
             if offset:

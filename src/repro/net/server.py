@@ -1,35 +1,30 @@
-"""Asyncio ``RKV1`` server fronting a :class:`~repro.service.KVService`.
+"""Blocking ``RKV1`` server fronting a :class:`~repro.service.KVService`.
 
-The event loop owns only framing and scheduling; every service call runs in a
-:class:`~concurrent.futures.ThreadPoolExecutor` via ``run_in_executor`` so the
-per-shard single-worker executors inside :class:`KVService` keep exclusive
-ownership of their backends (the bridge thread blocks on the shard future, the
-loop never does).
+One accept thread, plus one thread per connection.  A connection thread runs
+``recv`` → :class:`~repro.net.protocol.FrameDecoder` → dispatch inline: the
+service call runs on the connection's own thread (``KVService`` takes the
+shard lock on its caller), and the whole burst of responses goes back in one
+``sendall``.
 
-Per connection:
-
-* a **reader task** feeds socket chunks into an incremental
-  :class:`~repro.net.protocol.FrameDecoder` and enqueues decoded requests —
-  requests pipeline because the reader never waits for a response before
-  decoding the next frame;
-* a bounded **in-flight queue** (``max_inflight``) sits between reader and
-  worker: when it fills, the reader stops reading the socket, which turns
-  into TCP backpressure on a client that pipelines faster than the service
-  can answer;
-* a **worker task** pops requests in order, executes each, and writes its
-  response before starting the next.  Execution is *sequential per
-  connection* (the RESP model): pipelining amortises network round trips,
-  it does not reorder effects — two pipelined SETs of one key land in
-  request order.  Cross-connection requests still run concurrently, and a
-  single ``MGET``/``MSET`` frame still fans out across shards in parallel
-  inside :class:`KVService`.
+* **pipelining** — a client may send many frames before reading; the thread
+  answers them in request order.  Execution is *sequential per connection*
+  (the RESP model): pipelining amortises network round trips, it does not
+  reorder effects — two pipelined SETs of one key land in request order.
+  Requests on different connections run concurrently, and a single
+  ``MGET``/``MSET`` frame still fans out across shards inside
+  :class:`KVService`;
+* **backpressure** — at most ``max_inflight`` frames per connection are
+  decoded but not yet answered; the thread does not read the socket while it
+  executes them, so a client that pipelines faster than the service answers
+  fills its TCP window, not server memory.
 
 Server-side exceptions never tear down a connection: they are relayed as
 :class:`~repro.net.protocol.ErrorResponse` frames carrying the exception class
 name (``ModelEpochError``, ``ServiceError``, …) and message.  The one
 exception is a :class:`~repro.exceptions.ProtocolError` from the decoder —
 after malformed bytes the stream cannot be re-synchronised, so the server
-sends a final ERR frame and closes that connection (others are unaffected).
+answers the frames decoded before them, sends a final ERR frame and closes
+that connection (others are unaffected).
 
 Observability and overload protection (:mod:`repro.obs`): every dispatch is
 counted and timed into the server's :class:`~repro.obs.MetricsRegistry`
@@ -42,19 +37,19 @@ with typed :class:`~repro.exceptions.RateLimitedError` /
 one request, never the connection, and each increments a labelled
 ``repro_rejections_total`` sample (docs/ARCHITECTURE.md, "Observability").
 
-``stop(drain=True)`` is a graceful drain: stop accepting, wake every reader,
-let the writers flush every request already decoded, close the sockets, and
-finally ``KVService.flush()`` the shards so every answered write is durable
-before the process exits (the ``repro serve --data-dir`` restart contract).
+``stop(drain=True)`` is a graceful drain: stop accepting, wake every blocked
+read with ``shutdown(SHUT_RD)``, answer every request already received, join
+the connection threads within ``drain_timeout``, and finally
+``KVService.flush()`` the shards so every answered write is durable before
+the process exits (the ``repro serve --data-dir`` restart contract).
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
+import socket
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro.exceptions import (
@@ -88,7 +83,7 @@ from repro.net.protocol import (
     ValueResponse,
     encode_frame,
 )
-from repro.obs.exposition import MetricsHTTPServer, render_text
+from repro.obs.exposition import AcceptLoop, MetricsHTTPServer, render_text
 from repro.obs.limits import RequestLimits, SlowRequestLog, TokenBucket
 from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, MetricsRegistry
 from repro.service.service import KVService
@@ -96,22 +91,12 @@ from repro.service.service import KVService
 #: Socket read chunk size.
 _READ_CHUNK = 64 * 1024
 
-#: Queue sentinel telling a connection worker task to finish.
-_CLOSE = object()
-
-#: Queue item tags: a decoded request to execute, or a pre-built response
-#: (the final ERR frame after a protocol error) to write as-is.
-_REQUEST, _RESPONSE = "request", "response"
-
 #: SCAN response chunking: a chunk closes at this many pairs or this many
 #: payload bytes, whichever comes first.  Bounded chunks keep any single
 #: frame small, so a huge range cannot head-of-line-block the responses
 #: pipelined behind it on the same connection.
 SCAN_CHUNK_PAIRS = 256
 SCAN_CHUNK_BYTES = 64 * 1024
-
-#: Threads bridging blocking ``KVService`` calls off the event loop.
-BRIDGE_THREADS = 8
 
 #: Cap on emitted slow-request log lines per second.
 SLOW_LOG_PER_SECOND = 1.0
@@ -141,8 +126,8 @@ class ServerConfig:
     host: str = "127.0.0.1"
     #: TCP port; 0 picks an ephemeral port (read it back from ``address``).
     port: int = 0
-    #: pipelined requests allowed in flight per connection before the reader
-    #: stops consuming the socket (backpressure).
+    #: pipelined requests decoded but not yet answered per connection; the
+    #: connection's thread reads no more until they are (backpressure).
     max_inflight: int = 64
     #: frame body size limit handed to the decoder.
     max_body: int = DEFAULT_MAX_BODY
@@ -196,10 +181,12 @@ def _decode_text(data: bytes, what: str) -> str:
 class KVServer:
     """Serve a :class:`KVService` over the ``RKV1`` protocol.
 
+    ``start()`` binds and returns the ``(host, port)`` actually bound;
+    ``stop()`` drains gracefully.  Usable as a context manager:
+
     >>> service = KVService(ServiceConfig(shard_count=2, compressor="none"))
-    >>> server = KVServer(service)          # port 0 = ephemeral
-    >>> await server.start()                # doctest: +SKIP
-    >>> host, port = server.address         # doctest: +SKIP
+    >>> with KVServer(service) as server:    # doctest: +SKIP
+    ...     host, port = server.address     # port 0 = ephemeral
     """
 
     def __init__(
@@ -210,17 +197,15 @@ class KVServer:
     ) -> None:
         self.service = service
         self.config = config if config is not None else ServerConfig()
-        self._server: asyncio.base_events.Server | None = None
-        self._bridge = ThreadPoolExecutor(
-            max_workers=BRIDGE_THREADS, thread_name_prefix="kv-net-bridge"
-        )
-        self._draining: asyncio.Event | None = None
-        self._connection_tasks: set[asyncio.Task] = set()
+        self._accept: AcceptLoop | None = None
+        #: open connections and the thread serving each; ``_lock`` guards it,
+        #: the counters below and ``_stopped``.
+        self._connections: dict[socket.socket, threading.Thread] = {}
+        self._lock = threading.Lock()
         self._stopped = False
         self.connections_served = 0
         self.protocol_errors = 0
-        #: decoded requests queued or executing, and the most there ever were
-        #: (exact: both change only on the event loop's thread)
+        #: decoded requests not yet answered, and the most there ever were
         self.inflight = self.inflight_high_water = 0
         self._limits = self.config.limits()
         self._slow_log = (
@@ -362,8 +347,8 @@ class KVServer:
     def _collect_service_gauges(self) -> None:
         """Scrape-time bridge: mirror the service snapshot into gauges.
 
-        Runs on the scraping thread (bridge thread for the ``METRICS`` opcode,
-        the default executor for the HTTP sidecar).  A service that is closed
+        Runs on the scraping thread (the connection's thread for the
+        ``METRICS`` opcode, the sidecar's accept thread for HTTP).  A service that is closed
         or mid-shutdown simply keeps the previous gauge values — a scrape must
         never take a server down.
         """
@@ -398,41 +383,34 @@ class KVServer:
 
     # ---------------------------------------------------------------- lifecycle
 
-    async def start(self) -> None:
-        """Bind the listening socket and start accepting connections."""
-        if self._server is not None:
+    def start(self) -> tuple[str, int]:
+        """Bind, start accepting connections, and return :attr:`address`."""
+        if self._accept is not None:
             raise NetError("server is already started")
         if self._stopped:
             raise NetError("server was stopped and cannot be restarted")
-        self._draining = asyncio.Event()
-        try:
-            self._server = await asyncio.start_server(
-                self._on_connection, host=self.config.host, port=self.config.port
-            )
-        except OSError as error:
-            raise NetError(
-                f"cannot bind {self.config.host}:{self.config.port}: {error}"
-            ) from error
+        accept = AcceptLoop(
+            self.config.host, self.config.port, self._on_connection, "kv-net-accept", "server"
+        )
         if self.config.metrics_port is not None:
             sidecar = MetricsHTTPServer(
                 self.render_metrics, host=self.config.host, port=self.config.metrics_port
             )
             try:
-                await sidecar.start()
+                sidecar.start()
             except NetError:
-                self._server.close()
-                await self._server.wait_closed()
-                self._server = None
+                accept.close()
                 raise
             self.metrics_sidecar = sidecar
+        self._accept = accept
+        return self.address
 
     @property
     def address(self) -> tuple[str, int]:
         """``(host, port)`` actually bound (resolves an ephemeral port)."""
-        if self._server is None or not self._server.sockets:
+        if self._accept is None:
             raise NetError("server is not listening")
-        host, port = self._server.sockets[0].getsockname()[:2]
-        return host, port
+        return self._accept.address
 
     @property
     def metrics_address(self) -> tuple[str, int]:
@@ -441,181 +419,149 @@ class KVServer:
             raise NetError("server has no metrics sidecar (set metrics_port)")
         return self.metrics_sidecar.address
 
-    async def serve_forever(self) -> None:
-        """Block until the server is stopped."""
-        if self._server is None:
-            raise NetError("server is not started")
-        try:
-            await self._server.serve_forever()
-        except asyncio.CancelledError:
-            pass
-
-    async def stop(self, drain: bool = True) -> None:
+    def stop(self, drain: bool = True) -> None:
         """Stop accepting and close every connection.
 
         With ``drain`` (the default) every request already received is
         answered before its connection closes, bounded by ``drain_timeout``;
         without it, connections are torn down immediately.
         """
-        if self._stopped:
-            return
-        self._stopped = True
+        with self._lock:
+            if self._stopped:
+                return
+            self._stopped = True
         if self.metrics_sidecar is not None:
-            await self.metrics_sidecar.stop()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        if self._draining is not None:
-            self._draining.set()
-        tasks = list(self._connection_tasks)
-        if tasks:
-            if drain:
-                done, pending = await asyncio.wait(
-                    tasks, timeout=self.config.drain_timeout
-                )
-            else:
-                pending = set(tasks)
-            for task in pending:
-                task.cancel()
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
-        try:
-            if drain and not self.service.closed:
-                # Every answered request is now durable: persistent shards
-                # write their WAL barrier / TBS2 snapshot before the server
-                # exits, so a restart on the same data directory serves every
-                # acknowledged key.  Bridged off the loop like any other
-                # blocking service call.
-                loop = asyncio.get_running_loop()
-                try:
-                    await loop.run_in_executor(self._bridge, self.service.flush)
-                except ServiceError:
-                    # The owner closed the service between the check and the
-                    # flush; close() flushes itself, so nothing was lost.
-                    if not self.service.closed:
-                        raise
-        finally:
-            self._bridge.shutdown(wait=True)
+            self.metrics_sidecar.stop()
+        if self._accept is not None:
+            self._accept.close()
+            self._accept = None
+        # The accept thread is joined: no connection registers from here on.
+        with self._lock:
+            connections = dict(self._connections)
+        for connection in connections:
+            _shutdown(connection, socket.SHUT_RD if drain else socket.SHUT_RDWR)
+        deadline = time.monotonic() + self.config.drain_timeout
+        for connection, thread in connections.items():
+            thread.join(max(0.0, deadline - time.monotonic()))
+            if thread.is_alive():
+                _shutdown(connection, socket.SHUT_RDWR)  # the drain timed out
+        if drain and not self.service.closed:
+            # Every answered request is now durable: persistent shards write
+            # their WAL barrier / TBS2 snapshot before the server exits, so a
+            # restart on the same data directory serves every acknowledged key.
+            try:
+                self.service.flush()
+            except ServiceError:
+                # The owner closed the service between the check and the
+                # flush; close() flushes itself, so nothing was lost.
+                if not self.service.closed:
+                    raise
+
+    def __enter__(self) -> "KVServer":
+        self.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()
 
     # -------------------------------------------------------------- connections
 
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        assert task is not None and self._draining is not None
-        self._connection_tasks.add(task)
-        self.connections_served += 1
+    def _on_connection(self, connection: socket.socket) -> None:
+        """Accept-thread callback: hand the connection to a thread of its own."""
+        connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        with self._lock:
+            if self._stopped:
+                connection.close()
+                return
+            thread = threading.Thread(
+                target=self._serve,
+                args=(connection,),
+                name=f"kv-net-conn-{self.connections_served}",
+                daemon=True,
+            )
+            self._connections[connection] = thread
+            self.connections_served += 1
+            # Started under the lock, so stop() never joins an unstarted thread.
+            thread.start()
         self._connections_total.inc()
         self._connections_active.inc()
-        queue: asyncio.Queue = asyncio.Queue(maxsize=self.config.max_inflight)
+
+    def _serve(self, connection: socket.socket) -> None:
+        """One connection: decode up to ``max_inflight`` frames, answer them
+        in one ``sendall``, read again — until EOF, a protocol error, or
+        ``stop()`` shutting the read side."""
+        decoder = FrameDecoder(max_body=self.config.max_body)
         # Each connection gets its own token bucket: one greedy client being
         # throttled must not starve its peers' budgets.
         limiter = self._limits.bucket()
-        worker_task = asyncio.create_task(self._worker_loop(queue, writer, limiter))
-        decoder = FrameDecoder(max_body=self.config.max_body)
-        drain_wait = asyncio.create_task(self._draining.wait())
+        limit = self.config.max_inflight
+        data = b""
         try:
-            while not self._draining.is_set():
-                read_task = asyncio.create_task(reader.read(_READ_CHUNK))
-                done, _ = await asyncio.wait(
-                    {read_task, drain_wait}, return_when=asyncio.FIRST_COMPLETED
-                )
-                if read_task not in done:
-                    # Draining: stop reading; everything decoded so far is
-                    # already queued and will be answered by the worker.
-                    read_task.cancel()
-                    await asyncio.gather(read_task, return_exceptions=True)
-                    break
+            while True:
                 try:
-                    data = read_task.result()
-                except (ConnectionError, OSError):
-                    break
-                if not data:
-                    break
-                try:
-                    requests = decoder.feed(data)
+                    requests = decoder.feed(data, limit)
                 except ProtocolError as error:
                     requests, failure = [], error
                 else:
-                    # Good frames arriving in the same chunk as malformed
-                    # bytes are still returned (and answered below) — the
-                    # outcome cannot depend on TCP segmentation.
+                    # Good frames decoded before malformed bytes are still
+                    # answered: the outcome cannot depend on TCP segmentation.
                     failure = decoder.failure
-                for request in requests:
-                    # A full queue blocks here, pausing socket reads: TCP
-                    # backpressure against over-eager pipelining.  The gauge
-                    # counts queued + executing, so its bound per connection
-                    # is max_inflight + 2 (a full queue, one executing, one
-                    # blocked in put here).
-                    self._inflight.inc()
-                    self.inflight += 1
-                    if self.inflight > self.inflight_high_water:
-                        self.inflight_high_water = self.inflight
-                    await queue.put((_REQUEST, request))
+                if requests or failure is not None:
+                    self._answer(connection, requests, failure, limiter)
                 if failure is not None:
-                    # The stream cannot be re-synchronised after bad bytes:
-                    # answer with a final ERR frame and close this connection.
-                    self.protocol_errors += 1
+                    with self._lock:
+                        self.protocol_errors += 1
                     self._protocol_errors.inc()
-                    await queue.put(
-                        (_RESPONSE, ErrorResponse(kind="ProtocolError", message=str(failure)))
-                    )
-                    break
+                    return
+                if len(requests) == limit:
+                    data = b""  # more complete frames may be buffered already
+                    continue
+                data = connection.recv(_READ_CHUNK)
+                if not data:
+                    return
+        except OSError:
+            return  # the client vanished, or stop(drain=False) tore it down
         finally:
-            drain_wait.cancel()
-            await asyncio.gather(drain_wait, return_exceptions=True)
-            await queue.put(_CLOSE)
-            await asyncio.gather(worker_task, return_exceptions=True)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-            self._connection_tasks.discard(task)
+            with self._lock:
+                del self._connections[connection]
             self._connections_active.dec()
+            connection.close()
 
-    async def _worker_loop(
+    def _answer(
         self,
-        queue: asyncio.Queue,
-        writer: asyncio.StreamWriter,
+        connection: socket.socket,
+        requests: list[Message],
+        failure: ProtocolError | None,
         limiter: TokenBucket | None,
     ) -> None:
-        """Execute queued requests in order, writing each response.
+        """Execute a burst in request order and send every response at once.
 
-        Sequential execution keeps a connection's effects in request order
-        (two pipelined SETs of one key cannot swap); a client that vanishes
-        mid-batch stops the writes but the remaining requests still execute,
-        so graceful drain semantics stay uniform.
-
-        A dispatch may return a *sequence* of frames (a chunked SCAN result):
-        they are written back-to-back before the next request's response, so
-        the per-connection response-order contract is untouched — a scan is
-        one request with a multi-frame answer, not an interleaving.
+        A chunked SCAN answer is several frames; they stay together, so the
+        per-connection response order is untouched.  After a protocol error
+        the final ERR frame follows the answers of the frames before it.
         """
-        client_alive = True
-        while True:
-            item = await queue.get()
-            if item is _CLOSE:
-                return
-            tag, payload = item
-            if tag == _REQUEST:
-                try:
-                    response = await self._dispatch(payload, limiter)
-                finally:
-                    self._inflight.dec()
-                    self.inflight -= 1
-            else:
-                response = payload
-            if not client_alive:
-                continue  # keep executing so stop() can drain the queue
-            frames = response if isinstance(response, list) else [response]
-            try:
-                for frame in frames:
-                    writer.write(encode_frame(frame))
-                    await writer.drain()
-            except (ConnectionError, OSError):
-                client_alive = False
+        count = len(requests)
+        with self._lock:
+            self.inflight += count
+            self.inflight_high_water = max(self.inflight_high_water, self.inflight)
+        self._inflight.inc(count)
+        try:
+            frames: list[bytes] = []
+            for request in requests:
+                response = self._dispatch(request, limiter)
+                if isinstance(response, list):
+                    frames.extend(encode_frame(frame) for frame in response)
+                else:
+                    frames.append(encode_frame(response))
+            if failure is not None:
+                frames.append(
+                    encode_frame(ErrorResponse(kind="ProtocolError", message=str(failure)))
+                )
+            connection.sendall(b"".join(frames))
+        finally:
+            with self._lock:
+                self.inflight -= count
+            self._inflight.dec(count)
 
     # ----------------------------------------------------------------- dispatch
 
@@ -684,13 +630,13 @@ class KVServer:
                     f"max_batch_items={max_items}"
                 )
 
-    async def _dispatch(
+    def _dispatch(
         self, request: Message, limiter: TokenBucket | None = None
     ) -> Message | list[Message]:
         """Run one request; every failure becomes a typed ERR response.
 
         Most handlers return one frame; the SCAN handler returns the chunked
-        frame list its worker writes in order.
+        frame list, sent in order.
         """
         started = time.perf_counter()
         try:
@@ -702,8 +648,7 @@ class KVServer:
                 raise ProtocolError(
                     f"frame {request.wire_name} is not a request"
                 )
-            loop = asyncio.get_running_loop()
-            return await loop.run_in_executor(self._bridge, handler, self, request)
+            return handler(self, request)
         except Exception as error:  # noqa: BLE001 — relayed, never fatal
             return ErrorResponse(kind=type(error).__name__, message=str(error))
         finally:
@@ -725,7 +670,7 @@ class KVServer:
             ):
                 self._slow_requests.labels(opcode).inc()
 
-    # The handlers below run on bridge threads, never on the event loop.
+    # The handlers below run on the connection's thread.
 
     def _handle_get(self, request: GetRequest) -> Message:
         value = self.service.get(_decode_text(request.key, "key"))
@@ -820,67 +765,9 @@ class KVServer:
     }
 
 
-class ThreadedKVServer:
-    """A :class:`KVServer` running its own event loop in a daemon thread.
-
-    The harness the sync tests, benchmarks, and ``repro client bench`` build
-    on: ``start()`` returns the bound ``(host, port)``; ``stop()`` drains
-    gracefully.  Usable as a context manager.
-    """
-
-    def __init__(self, service: KVService, config: ServerConfig | None = None) -> None:
-        self._server = KVServer(service, config)
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-
-    @property
-    def server(self) -> KVServer:
-        return self._server
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self._server.address
-
-    @property
-    def metrics_address(self) -> tuple[str, int]:
-        return self._server.metrics_address
-
-    def start(self) -> tuple[str, int]:
-        if self._thread is not None:
-            raise NetError("threaded server is already started")
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever, name="kv-net-loop", daemon=True
-        )
-        self._thread.start()
-        future = asyncio.run_coroutine_threadsafe(self._server.start(), self._loop)
-        try:
-            future.result(timeout=30)
-        except BaseException:
-            # A failed bind must not leak a spinning loop thread or leave the
-            # object wedged in "already started".
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join(timeout=30)
-            self._loop.close()
-            self._loop = None
-            self._thread = None
-            raise
-        return self._server.address
-
-    def stop(self, drain: bool = True) -> None:
-        if self._loop is None or self._thread is None:
-            return
-        future = asyncio.run_coroutine_threadsafe(self._server.stop(drain), self._loop)
-        future.result(timeout=self._server.config.drain_timeout + 30)
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=30)
-        self._loop.close()
-        self._loop = None
-        self._thread = None
-
-    def __enter__(self) -> "ThreadedKVServer":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+def _shutdown(connection: socket.socket, how: int) -> None:
+    """``shutdown`` that tolerates a socket its thread has already closed."""
+    try:
+        connection.shutdown(how)
+    except OSError:
+        pass

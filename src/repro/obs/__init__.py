@@ -3,7 +3,7 @@
 The observability layer of the serving stack (ROADMAP item 5): the write
 side is a process-wide :class:`MetricsRegistry` of counters, gauges, and
 log-spaced-bucket histograms; the read side renders Prometheus text format
-0.0.4 over an asyncio HTTP sidecar (``repro serve --metrics-port``) *and*
+0.0.4 over a one-thread HTTP sidecar (``repro serve --metrics-port``) *and*
 over the RKV1 ``METRICS`` opcode (``repro client metrics``); the protection
 side supplies the token buckets and slow-request log the server enforces its
 per-connection limits with.

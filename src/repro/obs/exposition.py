@@ -2,11 +2,11 @@
 
 Two consumers render the same registry:
 
-* the asyncio **HTTP sidecar** (:class:`MetricsHTTPServer`) started by
+* the **HTTP sidecar** (:class:`MetricsHTTPServer`) started by
   ``repro serve --metrics-port`` — ``GET /metrics`` returns the exposition
-  text, ``GET /healthz`` a liveness ``ok``.  Rendering runs in an executor
-  because scrape-time collectors may take blocking service snapshots; the
-  event loop only frames HTTP;
+  text, ``GET /healthz`` a liveness ``ok``.  One blocking accept thread
+  (:class:`AcceptLoop`, the same one the KV server listens with) reads each
+  request and renders on that thread;
 * the ``METRICS`` **wire opcode** (:mod:`repro.net`) — the same text as a
   length-prefixed RKV1 frame, so ``repro client metrics`` needs no second
   port.  Both paths call :func:`render_text`, which is what makes them
@@ -19,7 +19,8 @@ labelled samples, histogram ``_bucket``/``_sum``/``_count`` series).
 
 from __future__ import annotations
 
-import asyncio
+import socket
+import threading
 from typing import Callable
 
 from repro.exceptions import NetError, ObsError
@@ -30,6 +31,9 @@ CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 #: Socket-level cap on an HTTP request head the sidecar will buffer.
 _MAX_REQUEST_BYTES = 8 * 1024
+
+#: Seconds the sidecar waits on a silent HTTP client before dropping it.
+_CLIENT_TIMEOUT = 5.0
 
 
 def format_value(value: float) -> str:
@@ -162,13 +166,62 @@ def parse_text(text: str) -> dict[tuple[str, tuple[tuple[str, str], ...]], float
 # ----------------------------------------------------------------- HTTP sidecar
 
 
+class AcceptLoop:
+    """A bound listening socket and the one thread that accepts on it.
+
+    ``handle(connection)`` runs on the accept thread for every connection;
+    the KV server hands each one to a thread of its own, the HTTP sidecar
+    answers it inline.  :meth:`close` wakes the blocked ``accept`` with
+    ``shutdown`` and joins the thread, so no connection is handled after it
+    returns.
+    """
+
+    def __init__(
+        self, host: str, port: int, handle: Callable[[socket.socket], None],
+        name: str, what: str,
+    ) -> None:
+        try:
+            family, _, _, _, address = socket.getaddrinfo(
+                host, port, type=socket.SOCK_STREAM, flags=socket.AI_PASSIVE
+            )[0]
+            self.socket = socket.create_server(address, family=family, backlog=128)
+        except OSError as error:
+            raise NetError(f"cannot bind {what} {host}:{port}: {error}") from error
+        #: ``(host, port)`` actually bound (resolves an ephemeral port).
+        self.address: tuple[str, int] = self.socket.getsockname()[:2]
+        self._closed = False
+        self._thread = threading.Thread(target=self._run, args=(handle,), name=name, daemon=True)
+        self._thread.start()
+
+    def _run(self, handle: Callable[[socket.socket], None]) -> None:
+        while True:
+            try:
+                connection, _ = self.socket.accept()
+            except OSError:
+                if self._closed:
+                    return
+                continue  # the peer gave up between SYN and accept
+            handle(connection)
+
+    def close(self) -> None:
+        self._closed = True
+        try:
+            self.socket.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        self._thread.join()
+        self.socket.close()
+
+
 class MetricsHTTPServer:
-    """Minimal asyncio HTTP/1.1 sidecar: ``GET /metrics`` and ``GET /healthz``.
+    """Minimal HTTP/1.1 sidecar: ``GET /metrics`` and ``GET /healthz``.
 
     Deliberately not a web framework: it answers exactly two GET paths, sets
     ``Connection: close`` on every response, and rejects anything else with
-    404/405.  ``render`` is a *blocking* callable (scrape collectors snapshot
-    the service) and is run in the default executor, never on the loop.
+    400/404/405.  One accept thread reads each request and answers it before
+    accepting the next, so ``render`` (a blocking callable: scrape collectors
+    snapshot the service) never runs twice at once; a client that stalls
+    longer than ``_CLIENT_TIMEOUT`` is dropped.
     """
 
     def __init__(
@@ -180,77 +233,66 @@ class MetricsHTTPServer:
         self._render = render
         self.host = host
         self.port = port
-        self._server: asyncio.base_events.Server | None = None
+        self._loop: AcceptLoop | None = None
         self.scrapes = 0
 
-    async def start(self) -> None:
-        if self._server is not None:
+    def start(self) -> None:
+        if self._loop is not None:
             raise NetError("metrics sidecar is already started")
-        try:
-            self._server = await asyncio.start_server(
-                self._on_connection, host=self.host, port=self.port
-            )
-        except OSError as error:
-            raise NetError(
-                f"cannot bind metrics sidecar {self.host}:{self.port}: {error}"
-            ) from error
+        self._loop = AcceptLoop(
+            self.host, self.port, self._on_connection, "kv-metrics-http", "metrics sidecar"
+        )
 
     @property
     def address(self) -> tuple[str, int]:
         """``(host, port)`` actually bound (resolves an ephemeral port)."""
-        if self._server is None or not self._server.sockets:
+        if self._loop is None:
             raise NetError("metrics sidecar is not listening")
-        host, port = self._server.sockets[0].getsockname()[:2]
-        return host, port
+        return self._loop.address
 
-    async def stop(self) -> None:
-        if self._server is None:
-            return
-        self._server.close()
-        await self._server.wait_closed()
-        self._server = None
+    def stop(self) -> None:
+        if self._loop is not None:
+            self._loop.close()
+            self._loop = None
 
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
+    def _on_connection(self, connection: socket.socket) -> None:
+        with connection:
+            connection.settimeout(_CLIENT_TIMEOUT)
             try:
-                head = await reader.readuntil(b"\r\n\r\n")
-            except (asyncio.IncompleteReadError, asyncio.LimitOverrunError,
-                    ConnectionError, OSError):
-                return
-            if len(head) > _MAX_REQUEST_BYTES:
-                await self._respond(writer, 400, "request too large\n")
-                return
-            request_line = head.split(b"\r\n", 1)[0].decode("latin-1")
-            parts = request_line.split(" ")
-            if len(parts) != 3:
-                await self._respond(writer, 400, "malformed request line\n")
-                return
-            method, path, _ = parts
-            path = path.split("?", 1)[0]
-            if method != "GET":
-                await self._respond(writer, 405, "only GET is supported\n")
-                return
-            if path == "/healthz":
-                await self._respond(writer, 200, "ok\n")
-            elif path == "/metrics":
-                loop = asyncio.get_running_loop()
-                body = await loop.run_in_executor(None, self._render)
-                self.scrapes += 1
-                await self._respond(writer, 200, body, content_type=CONTENT_TYPE)
-            else:
-                await self._respond(writer, 404, f"unknown path {path}\n")
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
+                self._answer(connection)
+            except OSError:
                 pass
 
+    def _answer(self, connection: socket.socket) -> None:
+        head = b""
+        while b"\r\n\r\n" not in head:
+            if len(head) > _MAX_REQUEST_BYTES:
+                self._respond(connection, 400, "request too large\n")
+                return
+            chunk = connection.recv(_MAX_REQUEST_BYTES)
+            if not chunk:
+                return
+            head += chunk
+        parts = head.split(b"\r\n", 1)[0].decode("latin-1").split(" ")
+        if len(parts) != 3:
+            self._respond(connection, 400, "malformed request line\n")
+            return
+        method, path, _ = parts
+        path = path.split("?", 1)[0]
+        if method != "GET":
+            self._respond(connection, 405, "only GET is supported\n")
+        elif path == "/healthz":
+            self._respond(connection, 200, "ok\n")
+        elif path == "/metrics":
+            body = self._render()
+            self.scrapes += 1
+            self._respond(connection, 200, body, content_type=CONTENT_TYPE)
+        else:
+            self._respond(connection, 404, f"unknown path {path}\n")
+
     @staticmethod
-    async def _respond(
-        writer: asyncio.StreamWriter,
+    def _respond(
+        connection: socket.socket,
         status: int,
         body: str,
         content_type: str = "text/plain; charset=utf-8",
@@ -264,8 +306,4 @@ class MetricsHTTPServer:
             f"Content-Length: {len(payload)}\r\n"
             f"Connection: close\r\n\r\n"
         )
-        try:
-            writer.write(head.encode("latin-1") + payload)
-            await writer.drain()
-        except (ConnectionError, OSError):
-            pass
+        connection.sendall(head.encode("latin-1") + payload)

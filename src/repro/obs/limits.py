@@ -134,15 +134,17 @@ class SlowRequestLog:
         self.logger = logger if logger is not None else logging.getLogger(SLOW_LOGGER_NAME)
         self.emitted = 0
         self.suppressed = 0
+        self._lock = threading.Lock()  # every connection thread records here
 
     def record(self, opcode: str, key_count: int, seconds: float) -> bool:
         """Consider one finished request; returns whether it was slow."""
         if seconds < self.threshold_seconds:
             return False
-        if self._bucket is not None and not self._bucket.try_acquire():
-            self.suppressed += 1
-            return True
-        self.emitted += 1
+        with self._lock:
+            if self._bucket is not None and not self._bucket.try_acquire():
+                self.suppressed += 1
+                return True
+            self.emitted += 1
         self.logger.warning(
             "slow request: opcode=%s keys=%d duration_ms=%.2f threshold_ms=%.2f",
             opcode, key_count, seconds * 1e3, self.threshold_seconds * 1e3,

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 from repro.datasets import load_dataset
 from repro.loadgen import LoadResult, Oracle, per_worker, preload, run_load
 from repro.net.client import KVClient
-from repro.net.server import ServerConfig, ThreadedKVServer
+from repro.net.server import KVServer, ServerConfig
 from repro.scenarios.keydist import make_chooser
 from repro.scenarios.mixes import ScenarioSpec, get_scenario, scenario_names
 from repro.service.service import KVService, ServiceConfig
@@ -231,7 +231,7 @@ def run_suite(
     """Run the mix matrix against in-process servers, one per backend.
 
     Each backend gets a fresh :class:`KVService` behind a
-    :class:`ThreadedKVServer`; each scenario gets its own service so the
+    :class:`KVServer`; each scenario gets its own service so the
     mixes cannot contaminate each other's key space.  Returns the results
     in ``backends × scenarios`` order.
     """
@@ -256,7 +256,7 @@ def run_suite(
                         service.train(
                             load_dataset(spec.dataset, count=value_count, seed=seed)
                         )
-                    with ThreadedKVServer(service, ServerConfig(port=0)) as server:
+                    with KVServer(service, ServerConfig(port=0)) as server:
                         host, port = server.address
                         with per_worker(
                             lambda: KVClient(host, port, pool_size=1, timeout=timeout)

@@ -52,9 +52,9 @@ from repro.service.stats import (
 )
 
 #: Wire-layer classes re-exported lazily so ``from repro.service import
-#: KVServer`` works without importing asyncio machinery on every service use
+#: KVServer`` works without importing the wire layer on every service use
 #: (and without a circular import: repro.net imports repro.service).
-_NET_EXPORTS = ("KVServer", "ServerConfig", "ThreadedKVServer", "KVClient", "AsyncKVClient")
+_NET_EXPORTS = ("KVServer", "ServerConfig", "KVClient", "AsyncKVClient")
 
 
 def __getattr__(name: str):

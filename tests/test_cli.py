@@ -1,5 +1,10 @@
 """Tests for the ``pbc`` command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -323,3 +328,60 @@ class TestExperimentCommand:
         output = capsys.readouterr().out
         assert "Table 2" in output
         assert "kv1" in output
+
+
+class TestServeImports:
+    #: What ``repro serve`` must never load: ``asyncio`` (which imports
+    #: ``ssl``) and ``hashlib``'s ``_hashlib`` map OpenSSL, and the packages
+    #: are offline tooling the server has no command for.
+    FORBIDDEN = (
+        "asyncio", "ssl", "_hashlib", "repro.stream", "repro.bench",
+        "repro.columnar", "repro.jsonenc", "repro.logs",
+    )
+
+    #: Builds the serve path as ``repro serve`` does (lsm shards, so closing
+    #: writes an SSTable and its Bloom filter), serves one SET/GET, and
+    #: prints whatever forbidden module got loaded.
+    SCRIPT = """
+import sys
+from repro.cli import _build_service, build_parser
+from repro.net import KVClient, KVServer, ServerConfig
+
+args = build_parser().parse_args([
+    "serve", "--port", "0", "--shards", "2", "--backend", "lsm",
+    "--data-dir", sys.argv[1], "--train-count", "64",
+])
+service, _, cleanup = _build_service(args)
+with KVServer(service, ServerConfig(port=0)) as server:
+    with KVClient(*server.address, pool_size=1) as client:
+        client.set("k", "v")
+        assert client.get("k") == "v"
+service.close()
+cleanup()
+print(" ".join(name for name in sys.argv[2:] if name in sys.modules))
+"""
+
+    def test_serve_path_loads_no_asyncio_openssl_or_offline_packages(self, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+        result = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(tmp_path / "data"), *self.FORBIDDEN],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == []
+        assert list((tmp_path / "data").glob("shard-*/sstable-*.sst"))
+
+    def test_stream_codec_choices_are_the_frame_codecs(self):
+        from repro.stream import frame_codec_names
+
+        for codec in ["adaptive", *frame_codec_names()]:
+            args = build_parser().parse_args(
+                ["stream", "compress", "--dataset", "kv1", "--output", "x", "--codec", codec]
+            )
+            assert args.codec == codec
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["stream", "compress", "--dataset", "kv1", "--output", "x", "--codec", "nope"]
+            )

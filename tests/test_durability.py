@@ -607,7 +607,7 @@ class TestServiceLifecycle:
 
     @pytest.mark.parametrize("backend", ["tierbase", "lsm"])
     def test_server_drain_flushes_then_restart_serves(self, tmp_path, backend):
-        from repro.net import KVClient, ThreadedKVServer
+        from repro.net import KVClient, KVServer
         from repro.service import KVService, ServiceConfig
 
         config = ServiceConfig(
@@ -616,15 +616,15 @@ class TestServiceLifecycle:
         expected = {f"wire:{n}": f"value-{n}" for n in range(40)}
 
         service = KVService(config)
-        with ThreadedKVServer(service) as server:
+        with KVServer(service) as server:
             host, port = server.address
             with KVClient(host, port) as client:
                 client.mset(sorted(expected.items()))
-        # ThreadedKVServer.stop() drained: shards flushed before exit.
+        # KVServer.stop() drained: shards flushed before exit.
         service.close()
 
         service = KVService(config)
-        with ThreadedKVServer(service) as server:
+        with KVServer(service) as server:
             host, port = server.address
             with KVClient(host, port) as client:
                 for key, value in expected.items():

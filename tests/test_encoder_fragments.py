@@ -20,7 +20,7 @@ from repro.core.encoders import CharEncoder, IntEncoder, VarcharEncoder, VarintE
 from repro.core.pattern import Pattern, PatternDictionary
 from repro.datasets import load_dataset
 from repro.exceptions import EncodingError
-from repro.net import KVClient, ServerConfig, ThreadedKVServer
+from repro.net import KVClient, KVServer, ServerConfig
 from repro.service import KVService, ServiceConfig
 
 #: ASCII next to what ``\d`` / ``.`` also accept: Arabic-Indic, Devanagari and
@@ -141,7 +141,7 @@ class TestReproducedFailures:
         )
         with KVService(config) as service:
             service.train(records[:256])
-            served = ThreadedKVServer(service, ServerConfig(port=0))
+            served = KVServer(service, ServerConfig(port=0))
             served.start()
             try:
                 with KVClient(*served.address, pool_size=1, timeout=30.0) as client:

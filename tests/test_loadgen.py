@@ -3,7 +3,7 @@
 The driver's seam is the ``connect()`` target, so most of this file drives a
 fake: a dict-backed target that records every call.  The transport tests at
 the bottom run the same operations against a real ``KVService`` and a real
-``ThreadedKVServer`` and require identical behaviour.
+``KVServer`` and require identical behaviour.
 
 Every wait is bounded; the CI ``net-e2e`` job additionally wraps this file in
 its hard 120 s timeout.
@@ -27,7 +27,7 @@ from repro.loadgen import (
     preload,
     run_load,
 )
-from repro.net import KVClient, ServerConfig, ThreadedKVServer
+from repro.net import KVClient, KVServer, ServerConfig
 from repro.service import KVService, ServiceConfig
 
 from tests.conftest import make_template_records
@@ -66,7 +66,7 @@ class FakeTarget:
 def _served():
     """A 2-shard uncompressed service behind a live server."""
     with KVService(ServiceConfig(shard_count=2, compressor="none")) as service:
-        with ThreadedKVServer(service, ServerConfig(port=0)) as server:
+        with KVServer(service, ServerConfig(port=0)) as server:
             yield service, server
 
 
@@ -329,7 +329,7 @@ class TestTransports:
             preload(local, keys, values)
             preload(remote, keys, values)
             in_process = run_load(lambda: local, operation, calls, 1, seed=7)
-            with ThreadedKVServer(remote, ServerConfig(port=0)) as server:
+            with KVServer(remote, ServerConfig(port=0)) as server:
                 over_wire = _wire_run(server, operation, calls, 1, seed=7)
             assert over_wire.clean and in_process.clean
             assert over_wire.errors == in_process.errors == 0

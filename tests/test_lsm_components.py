@@ -1,10 +1,15 @@
 """Tests for the LSM engine's building blocks: Bloom filter, memtable, write-ahead log."""
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import StoreError
 from repro.lsm import TOMBSTONE, BloomFilter, MemTable, WriteAheadLog
+from repro.lsm.bloom import _hash_pair
+from repro.lsm.sstable import PlainPolicy, write_sstable
 from repro.lsm.wal import OP_DELETE, OP_PUT
 from repro.oplog import OpRecord
 
@@ -72,6 +77,34 @@ class TestBloomFilter:
         for key in keys:
             bloom.add(key)
         assert all(bloom.might_contain(key) for key in keys)
+
+
+class TestBloomByteIdentity:
+    """The filter hashes with the interpreter's builtin SHA-256, not
+    ``hashlib``; the digest must be the same, or every SSTable's filter (and
+    so the file bytes) would change."""
+
+    def test_hash_pair_is_the_hashlib_sha256_pair(self):
+        rng = random.Random(39)
+        keys = [b"", "ключ-é中-🔑".encode("utf-8"), b"\x00" * 3]
+        keys += [rng.randbytes(rng.randrange(1, 80)) for _ in range(1000 - len(keys))]
+        for key in keys:
+            digest = hashlib.sha256(key).digest()
+            expected = (int.from_bytes(digest[:8], "big"), int.from_bytes(digest[8:16], "big"))
+            assert _hash_pair(key) == expected, key
+
+    def test_sstable_bytes_are_pinned(self, tmp_path):
+        """Fixed entries (tombstones, non-ASCII values, several blocks)
+        write the file whose sha256 was recorded before the hash moved."""
+        entries = [
+            (f"key-{index:04d}", None if index % 7 == 0 else f"value-{index}-é中")
+            for index in range(300)
+        ]
+        path = tmp_path / "table.sst"
+        write_sstable(path, entries, PlainPolicy(), block_bytes=512)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "1e5e6a627204f9874e42bc1933d9a5af057fabc14d7d881dd24677aaf537e296"
+        )
 
 
 class TestMemTable:

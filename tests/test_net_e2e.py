@@ -25,11 +25,11 @@ from repro.exceptions import NetError, ProtocolError, RemoteError
 from repro.net import (
     AsyncKVClient,
     GetRequest,
+    FrameDecoder,
     KVClient,
+    KVServer,
     ServerConfig,
     SetRequest,
-    ThreadedKVServer,
-    FrameDecoder,
     encode_frame,
 )
 from repro.service import KVService, ServiceConfig
@@ -44,7 +44,7 @@ WAIT = 30.0
 def server():
     """A served KVService (2 uncompressed shards) on an ephemeral port."""
     service = KVService(ServiceConfig(shard_count=2, compressor="none"))
-    threaded = ThreadedKVServer(service, ServerConfig(port=0, max_inflight=32))
+    threaded = KVServer(service, ServerConfig(port=0, max_inflight=32))
     threaded.start()
     try:
         yield threaded
@@ -133,8 +133,8 @@ class TestConcurrentClients:
             assert not thread.is_alive(), "client thread hung"
         assert not errors, errors
         # Zero lost/corrupted responses, and the server really saw 8 clients.
-        assert server.server.connections_served >= clients
-        assert server.server.protocol_errors == 0
+        assert server.connections_served >= clients
+        assert server.protocol_errors == 0
 
     def test_shared_keys_converge_to_a_written_value(self, server):
         host, port = server.address
@@ -203,10 +203,10 @@ class TestFaultInjection:
             # The healthy connection never noticed.
             deadline = time.monotonic() + WAIT
             while time.monotonic() < deadline:
-                if server.server.protocol_errors >= 1:
+                if server.protocol_errors >= 1:
                     break
                 time.sleep(0.02)
-            assert server.server.protocol_errors == 1
+            assert server.protocol_errors == 1
             assert healthy.get("stable") == "yes"
             assert healthy.ping()
 
@@ -234,7 +234,7 @@ class TestFaultInjection:
         from repro.exceptions import CompressorError
 
         service = KVService(ServiceConfig(shard_count=1, compressor="pbc_f"))
-        with ThreadedKVServer(service, ServerConfig(port=0)) as threaded:
+        with KVServer(service, ServerConfig(port=0)) as threaded:
             host, port = threaded.address
             with KVClient(host, port, timeout=WAIT) as client:
                 with pytest.raises(RemoteError) as excinfo:
@@ -265,7 +265,7 @@ class TestFaultInjection:
 class TestGracefulShutdown:
     def test_drain_answers_every_received_request(self):
         service = KVService(ServiceConfig(shard_count=2, compressor="none"))
-        threaded = ThreadedKVServer(service, ServerConfig(port=0, max_inflight=64))
+        threaded = KVServer(service, ServerConfig(port=0, max_inflight=64))
         host, port = threaded.start()
         try:
             with KVClient(host, port, timeout=WAIT) as client:
@@ -292,7 +292,7 @@ class TestGracefulShutdown:
         """Killing the server under a connected client surfaces as NetError
         (the documented contract), never a raw ConnectionError/timeout."""
         service = KVService(ServiceConfig(shard_count=1, compressor="none"))
-        threaded = ThreadedKVServer(service, ServerConfig(port=0))
+        threaded = KVServer(service, ServerConfig(port=0))
         host, port = threaded.start()
         client = KVClient(host, port, timeout=5.0)
         client.set("k", "v")
@@ -307,9 +307,9 @@ class TestGracefulShutdown:
         """A busy port fails with NetError and leaves the object restartable
         on a free port — no leaked event-loop thread."""
         service = KVService(ServiceConfig(shard_count=1, compressor="none"))
-        blocker = ThreadedKVServer(service, ServerConfig(port=0))
+        blocker = KVServer(service, ServerConfig(port=0))
         host, port = blocker.start()
-        failed = ThreadedKVServer(service, ServerConfig(host=host, port=port))
+        failed = KVServer(service, ServerConfig(host=host, port=port))
         before = threading.active_count()
         with pytest.raises(NetError, match="bind"):
             failed.start()
@@ -322,7 +322,7 @@ class TestGracefulShutdown:
 
     def test_stopped_server_refuses_new_connections(self):
         service = KVService(ServiceConfig(shard_count=1, compressor="none"))
-        threaded = ThreadedKVServer(service, ServerConfig(port=0))
+        threaded = KVServer(service, ServerConfig(port=0))
         host, port = threaded.start()
         threaded.stop()
         with pytest.raises(NetError):
@@ -351,7 +351,7 @@ def test_drift_retrain_under_live_traffic_no_stale_reads():
     stop_reading = threading.Event()
     read_errors: list[BaseException] = []
 
-    with ThreadedKVServer(service, ServerConfig(port=0)) as threaded:
+    with KVServer(service, ServerConfig(port=0)) as threaded:
         host, port = threaded.address
         with KVClient(host, port, timeout=WAIT) as writer:
             writer.mset([(f"t:{i}", value) for i, value in enumerate(trained)])

@@ -19,7 +19,7 @@ import urllib.request
 import pytest
 
 from repro.loadgen import default_keys, mixed_operation, per_worker, preload, run_load
-from repro.net import KVClient, ServerConfig, ThreadedKVServer
+from repro.net import KVClient, KVServer, ServerConfig
 from repro.obs import CONTENT_TYPE, parse_text
 from repro.service import KVService, ServiceConfig
 
@@ -38,7 +38,7 @@ SCRAPE_RACE_EXEMPT = {"repro_inflight_requests", "repro_shard_model_epoch_age_se
 def server():
     """A served KVService (2 uncompressed shards) with an HTTP metrics sidecar."""
     service = KVService(ServiceConfig(shard_count=2, compressor="none"))
-    threaded = ThreadedKVServer(
+    threaded = KVServer(
         service, ServerConfig(port=0, max_inflight=32, metrics_port=0)
     )
     threaded.start()
@@ -98,7 +98,7 @@ class TestScrapeTransports:
         before traffic (anti-ghost: no name exists only in the docs)."""
         host, port = server.address
         text = _scrape_over_wire(host, port)
-        for family in server.server.registry.families():
+        for family in server.registry.families():
             # Labelled families with no children yet still render HELP/TYPE,
             # so every registered name is visible from the very first scrape.
             assert f"# TYPE {family.name} {family.kind}" in text
@@ -135,7 +135,7 @@ class TestCounterReconciliation:
         the workload must pass ``validate(concurrent=True)``."""
         host, port = server.address
         values = make_template_records(256)
-        service = server.server.service
+        service = server.service
 
         snapshot_failures: list[BaseException] = []
         stop_snapshots = threading.Event()

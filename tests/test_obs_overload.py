@@ -12,14 +12,17 @@ connection — and every rejection shows up as a labelled
 
 from __future__ import annotations
 
+import socket
+import sys
+import threading
 import time
 
 import pytest
 
 from repro.exceptions import LimitExceededError, NetError, RateLimitedError, RemoteError
 from repro.loadgen import default_keys, mixed_operation, per_worker, preload, run_load
-from repro.net import KVClient, KVServer, ServerConfig, ThreadedKVServer
-from repro.net.server import BRIDGE_THREADS, SLOW_LOG_PER_SECOND
+from repro.net import FrameDecoder, KVClient, KVServer, PingRequest, ServerConfig, encode_frame
+from repro.net.server import SLOW_LOG_PER_SECOND
 from repro.obs import parse_text
 from repro.service import KVService, ServiceConfig
 
@@ -31,7 +34,7 @@ WAIT = 30.0
 
 def _serve(config: ServerConfig):
     service = KVService(ServiceConfig(shard_count=2, compressor="none"))
-    threaded = ThreadedKVServer(service, config)
+    threaded = KVServer(service, config)
     threaded.start()
     return service, threaded
 
@@ -73,7 +76,7 @@ class TestBoundedQueue:
         service, server = _serve(ServerConfig(port=0, max_inflight=max_inflight))
         try:
             host, port = server.address
-            gauge = server.server.registry.get("repro_inflight_requests")
+            gauge = server.registry.get("repro_inflight_requests")
             assert gauge is not None
             result = _open_loop(
                 host, port, make_template_records(64), rate=20_000.0,
@@ -83,10 +86,109 @@ class TestBoundedQueue:
             assert result.completed == 4000
             # One loadgen connection per worker, plus the preload connection.
             bound = (workers + 1) * (max_inflight + 2)
-            high_water = server.server.inflight_high_water
+            high_water = server.inflight_high_water
             assert 1 <= high_water <= bound
             assert gauge.value == 0, "in-flight gauge must drain back to zero"
-            assert server.server.inflight == 0
+            assert server.inflight == 0
+        finally:
+            server.stop()
+            service.close()
+
+
+    def test_one_burst_decodes_at_most_max_inflight_frames(self):
+        """Ten times ``max_inflight`` tiny frames in one ``sendall`` arrive
+        in one read; the connection's thread still decodes at most
+        ``max_inflight`` of them before answering, so the high-water mark
+        stays within the per-connection bound."""
+        max_inflight = 4
+        service, server = _serve(ServerConfig(port=0, max_inflight=max_inflight))
+        try:
+            count = 10 * max_inflight
+            with socket.create_connection(server.address, timeout=WAIT) as sock:
+                sock.sendall(encode_frame(PingRequest()) * count)
+                decoder, frames = FrameDecoder(), []
+                while len(frames) < count:
+                    data = sock.recv(64 * 1024)
+                    assert data, "server closed before answering every frame"
+                    frames.extend(decoder.feed(data))
+            assert [type(frame).__name__ for frame in frames] == ["PongResponse"] * count
+            assert 1 <= server.inflight_high_water <= max_inflight + 2
+        finally:
+            server.stop()
+            service.close()
+
+
+# ---------------------------------------------------------------------- threads
+
+
+def _server_threads() -> set[threading.Thread]:
+    return {thread for thread in threading.enumerate() if thread.name.startswith("kv-net-")}
+
+
+class TestThreads:
+    def test_one_thread_per_connection_and_none_after_stop(self):
+        """With k open connections the server runs exactly 1 + k threads of
+        its own (the accept thread plus one per connection), a closed
+        connection's thread exits, and ``stop()`` leaves none behind."""
+        before = _server_threads()
+        service, server = _serve(ServerConfig(port=0))
+        clients: list[KVClient] = []
+        try:
+            host, port = server.address
+            assert len(_server_threads() - before) == 1
+            for opened in range(1, 4):
+                clients.append(KVClient(host, port, pool_size=1, timeout=WAIT))
+                assert clients[-1].ping()  # accepted, and served on its thread
+                assert len(_server_threads() - before) == 1 + opened
+            clients.pop().close()
+            deadline = time.monotonic() + WAIT
+            while len(_server_threads() - before) != 3 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert len(_server_threads() - before) == 3
+        finally:
+            server.stop()
+            for client in clients:
+                client.close()
+            service.close()
+        assert _server_threads() - before == set()
+
+    def test_concurrent_connections_lose_no_counter_update(self):
+        """More client threads than cores pipeline bursts under a tiny switch
+        interval: the counters the connection threads share stay exact."""
+        clients, rounds, depth = 8, 20, 16
+        service, server = _serve(ServerConfig(port=0, max_inflight=8))
+        errors: list[BaseException] = []
+
+        def work(index: int) -> None:
+            try:
+                with KVClient(*server.address, pool_size=1, timeout=WAIT) as client:
+                    for round_index in range(rounds):
+                        pipeline = client.pipeline()
+                        for slot in range(depth):
+                            pipeline.set(f"c{index}:{slot}", str(round_index))
+                        pipeline.execute()
+            except BaseException as error:  # noqa: BLE001 — reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(index,)) for index in range(clients)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=WAIT)
+                assert not thread.is_alive(), "client thread hung"
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            assert errors == []
+            samples = parse_text(server.render_metrics())
+            assert samples[("repro_requests_total", (("opcode", "SET"),))] == clients * rounds * depth
+            assert samples[("repro_connections_total", ())] == clients
+            assert server.connections_served == clients
+            assert server.inflight == 0
+            assert samples[("repro_inflight_requests", ())] == 0
         finally:
             server.stop()
             service.close()
@@ -218,13 +320,11 @@ class TestServerConfig:
         with pytest.raises(NetError):
             ServerConfig(**override)
 
-    def test_bridge_and_slow_log_use_the_module_constants(self):
+    def test_slow_log_uses_the_module_constant(self):
         service = KVService(ServiceConfig(shard_count=1, compressor="none"))
         server = KVServer(service, ServerConfig(slow_request_seconds=0.25))
         try:
-            assert server._bridge._max_workers == BRIDGE_THREADS
             assert server._slow_log.threshold_seconds == 0.25
             assert server._slow_log._bucket.rate == SLOW_LOG_PER_SECOND
         finally:
-            server._bridge.shutdown()
             service.close()

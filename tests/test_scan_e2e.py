@@ -18,7 +18,7 @@ import threading
 
 import pytest
 
-from repro.net import KVClient, ServerConfig, ThreadedKVServer
+from repro.net import KVClient, KVServer, ServerConfig
 from repro.net.server import SCAN_CHUNK_PAIRS
 from repro.service import KVService, ServiceConfig
 
@@ -31,7 +31,7 @@ KEYS = 200
 @pytest.fixture
 def server():
     service = KVService(ServiceConfig(shard_count=2, compressor="none"))
-    threaded = ThreadedKVServer(service, ServerConfig(port=0, max_inflight=32))
+    threaded = KVServer(service, ServerConfig(port=0, max_inflight=32))
     threaded.start()
     try:
         yield threaded
@@ -215,7 +215,7 @@ def test_drift_retrain_mid_scan_zero_stale_decodes():
     failures: list[BaseException] = []
     allowed = set(trained)
 
-    with ThreadedKVServer(service, ServerConfig(port=0)) as threaded:
+    with KVServer(service, ServerConfig(port=0)) as threaded:
         host, port = threaded.address
         with KVClient(host, port, timeout=WAIT) as writer:
             writer.mset([(f"t:{index:04d}", value) for index, value in enumerate(trained)])
