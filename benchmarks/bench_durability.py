@@ -8,7 +8,11 @@ docs/ARCHITECTURE.md "Durability").  This driver prices the guarantee ladder:
 * puts/second per sync mode, plus ``fsync`` with a group-commit interval
   (``fsync_interval_bytes``) to show what batching buys back;
 * TierBase ``TBS1`` snapshot save/load throughput (MB/s over the serialised
-  size), the cost a persistent tierbase shard pays per flush and per reopen.
+  size), the cost a persistent tierbase shard pays per flush and per reopen;
+* multi-shard MSET latency of a ``KVService`` on ``fsync`` lsm shards: the
+  service visits the shards one after another, so a batch waits for one WAL
+  fsync per touched shard in a row (docs/BENCHMARKS.md compares it with
+  per-shard executor threads, which overlapped them).
 
 Every mode is verified for correctness after timing — the reopened stores
 must serve all keys — so the rows can never go fast by dropping writes.
@@ -16,17 +20,22 @@ must serve all keys — so the rows can never go fast by dropping writes.
 
 from __future__ import annotations
 
+import random
 import tempfile
 import time
 from pathlib import Path
 
 from repro.datasets import load_dataset
 from repro.lsm import LSMEngine
+from repro.service import KVService, ServiceConfig
 from repro.tierbase import TierBase, ZstdDictValueCompressor
 
 #: Workload sizes (small: the substrate is pure Python and fsync is per-put).
 PUTS = 300
 SNAPSHOT_KEYS = 600
+#: MSETs per shard count, and keys per MSET, of the fan-out measurement.
+MSETS = 300
+MSET_KEYS = 16
 
 
 def measure_puts(values: list[str], sync_mode: str, fsync_interval_bytes: int = 0) -> float:
@@ -72,6 +81,42 @@ def measure_snapshot(values: list[str]) -> tuple[float, float, int]:
         mb / load_seconds if load_seconds > 0 else 0.0,
         size,
     )
+
+
+def measure_fsync_mset(values: list[str], shards: int) -> tuple[float, float]:
+    """``(p50_ms, p99_ms)`` of 16-key MSETs over ``shards`` fsync lsm shards."""
+    rng = random.Random(1)
+    latencies = []
+    with tempfile.TemporaryDirectory(prefix="bench-dur-fanout-") as tmp:
+        config = ServiceConfig(
+            shard_count=shards, backend="lsm", compressor="pbc_f", directory=tmp,
+            sync_mode="fsync",
+        )
+        with KVService(config) as service:
+            service.train(values[:512])
+            for _ in range(MSETS):
+                items = [
+                    (f"key:{rng.randrange(10**9)}", rng.choice(values)) for _ in range(MSET_KEYS)
+                ]
+                started = time.perf_counter()
+                service.mset(items)
+                latencies.append(time.perf_counter() - started)
+            assert service.mget([key for key, _ in items]) == [value for _, value in items]
+    latencies.sort()
+    return latencies[len(latencies) // 2] * 1e3, latencies[int(0.99 * len(latencies))] * 1e3
+
+
+def test_fsync_fanout_mset_latency(benchmark):
+    values = load_dataset("kv1", count=2000)
+    result = benchmark.pedantic(
+        lambda: {shards: measure_fsync_mset(values, shards) for shards in (2, 4, 8)},
+        iterations=1,
+        rounds=1,
+    )
+    print()
+    for shards, (p50, p99) in result.items():
+        print(f"fsync lsm, {shards} shards, {MSET_KEYS}-key MSET: p50 {p50:.3f} ms, p99 {p99:.3f} ms")
+        assert 0 < p50 <= p99
 
 
 def test_durability_costs(benchmark):

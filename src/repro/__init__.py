@@ -14,9 +14,8 @@ The bigger subsystems are imported explicitly from their own packages:
 * :mod:`repro.stream` — seekable containers and the parallel pipeline,
 * :mod:`repro.service` — the sharded concurrent KV service,
 * :mod:`repro.net` — the ``RKV1`` wire protocol, thread-per-connection server, and
-  clients (``repro serve`` / ``repro client``); :class:`KVServer`,
-  :class:`KVClient` and :class:`AsyncKVClient` are also re-exported lazily
-  from this package.
+  client (``repro serve`` / ``repro client``); :class:`KVServer` and
+  :class:`KVClient` are also re-exported lazily from this package.
 
 See ``docs/ARCHITECTURE.md`` for the full layer map and ``docs/FORMATS.md``
 for the on-disk byte layouts.
@@ -46,7 +45,7 @@ from repro.core.pattern import Pattern, PatternDictionary
 __version__ = "1.11.0"
 
 #: Lazily re-exported from :mod:`repro.net` (keeps ``import repro`` light).
-_NET_EXPORTS = ("KVServer", "KVClient", "AsyncKVClient")
+_NET_EXPORTS = ("KVServer", "KVClient")
 
 
 def __getattr__(name: str):

@@ -361,6 +361,7 @@ def _build_service(args: argparse.Namespace):
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    import signal
     import threading
 
     from repro.net import KVServer, ServerConfig
@@ -379,22 +380,32 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     try:
         with KVServer(service, config) as server:
-            host, port = server.address
-            state = f"reopened {len(service)} key(s) from {args.directory}" if reopened else "fresh"
-            print(
-                f"serving {args.shards} {args.backend} shard(s) "
-                f"({args.compressor} compression, {state}) on {host}:{port}",
-                flush=True,
-            )
-            if server.metrics_sidecar is not None:
-                metrics_host, metrics_port = server.metrics_address
-                print(f"metrics on http://{metrics_host}:{metrics_port}/metrics", flush=True)
             try:
+                # SIGTERM (kill, docker stop, systemd) drains like Ctrl-C from
+                # before the `serving` line on.  A SIGINT that the shell set to
+                # ignore (``repro serve &``) stays ignored, as Python leaves it.
+                signal.signal(signal.SIGTERM, signal.default_int_handler)
+                host, port = server.address
+                state = (
+                    f"reopened {len(service)} key(s) from {args.directory}" if reopened else "fresh"
+                )
+                print(
+                    f"serving {args.shards} {args.backend} shard(s) "
+                    f"({args.compressor} compression, {state}) on {host}:{port}",
+                    flush=True,
+                )
+                if server.metrics_sidecar is not None:
+                    metrics_host, metrics_port = server.metrics_address
+                    print(f"metrics on http://{metrics_host}:{metrics_port}/metrics", flush=True)
                 # Serve on the server's threads; this one only waits (forever
-                # without --serve-seconds) for the deadline or Ctrl-C.
+                # without --serve-seconds) for the deadline, Ctrl-C or SIGTERM.
                 threading.Event().wait(args.serve_seconds)
             except KeyboardInterrupt:
                 print("interrupted", file=sys.stderr)
+            finally:
+                # A second signal must not tear the drain below half way.
+                for signum in (signal.SIGINT, signal.SIGTERM):
+                    signal.signal(signum, signal.SIG_IGN)
         print(
             f"drained: {server.connections_served} connection(s) served, "
             f"{len(service)} key(s) stored"

@@ -118,7 +118,7 @@ class ModelLifecycle:
     trained on.
 
     The reservoir and counters are expected to be touched by one writer at a
-    time (TierBase instance / shard executor), matching every pre-registry
+    time (TierBase instance / shard lock), matching every pre-registry
     copy of this loop.
     """
 

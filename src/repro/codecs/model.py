@@ -264,7 +264,7 @@ class VersionedCodec:
     across retrains.
 
     Encoding is expected to be serialised by the owner (TierBase instance /
-    shard executor), matching the pre-registry compressors; decoding any epoch
+    shard lock), matching the pre-registry compressors; decoding any epoch
     is safe from any thread.
     """
 

@@ -16,8 +16,7 @@ traffic:
   drain on shutdown); a context manager whose ``start()`` returns the bound
   address;
 * :mod:`repro.net.client` — the pooled synchronous :class:`KVClient` (with
-  :class:`Pipeline` for N-requests-per-round-trip) and the asyncio
-  :class:`AsyncKVClient`; server errors come back as typed
+  :class:`Pipeline` for N-requests-per-round-trip); server errors come back as typed
   :class:`~repro.exceptions.RemoteError` subclasses that also inherit the
   original exception type (``ModelEpochError`` stays catchable).
 
@@ -49,7 +48,7 @@ Or from the command line: ``repro serve --port 9100`` then
 ``repro client --port 9100 get k``.
 """
 
-from repro.net.client import AsyncKVClient, KVClient, Pipeline, remote_error
+from repro.net.client import KVClient, Pipeline, remote_error
 from repro.net.protocol import (
     DEFAULT_MAX_BODY,
     MAGIC,
@@ -81,7 +80,6 @@ from repro.net.protocol import (
 from repro.net.server import KVServer, ServerConfig
 
 __all__ = [
-    "AsyncKVClient",
     "CountResponse",
     "DEFAULT_MAX_BODY",
     "DeleteRequest",

@@ -1,4 +1,4 @@
-"""Sync and async ``RKV1`` clients for the :mod:`repro.net` KV server.
+"""The synchronous ``RKV1`` client for the :mod:`repro.net` KV server.
 
 :class:`KVClient` is the synchronous client: a small LIFO connection pool
 (sockets are created lazily, reused, and discarded on any transport error), a
@@ -7,10 +7,6 @@ string-typed API mirroring :class:`~repro.service.KVService`
 :class:`Pipeline` that sends many frames in one write and reads the responses
 back in order — one round trip for ``depth`` requests, the client half of the
 server's pipelining contract.
-
-:class:`AsyncKVClient` is the asyncio variant over one stream pair; a lock
-serialises frame writes while still allowing a batch of frames per round trip
-(:meth:`AsyncKVClient.execute`).
 
 Failures are typed:
 
@@ -28,7 +24,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
-from typing import AsyncIterator, Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro import exceptions as _exceptions
 from repro.exceptions import NetError, ProtocolError, RemoteError, ReproError
@@ -389,180 +385,4 @@ class Pipeline:
                     first_error = error
         if first_error is not None:
             raise first_error
-        return results
-
-
-# ------------------------------------------------------------------ async side
-
-
-class AsyncKVClient:
-    """Asyncio client over one connection; request batches share round trips.
-
-    >>> client = await AsyncKVClient.connect("127.0.0.1", 9100)  # doctest: +SKIP
-    """
-
-    def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        max_body: int = DEFAULT_MAX_BODY,
-    ) -> None:
-        self._reader = reader
-        self._writer = writer
-        self._decoder = FrameDecoder(max_body=max_body)
-        self._pending: list[Message] = []
-        import asyncio  # here, so the sync client and the server never load it
-
-        self._lock = asyncio.Lock()
-
-    @classmethod
-    async def connect(
-        cls, host: str = "127.0.0.1", port: int = 9100, max_body: int = DEFAULT_MAX_BODY
-    ) -> "AsyncKVClient":
-        import asyncio
-
-        try:
-            reader, writer = await asyncio.open_connection(host, port)
-        except OSError as error:
-            raise NetError(f"cannot connect to {host}:{port}: {error}") from error
-        return cls(reader, writer, max_body=max_body)
-
-    async def close(self) -> None:
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-
-    async def __aenter__(self) -> "AsyncKVClient":
-        return self
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self.close()
-
-    async def _receive(self) -> Message:
-        while not self._pending:
-            try:
-                data = await self._reader.read(_READ_CHUNK)
-            except OSError as error:
-                raise NetError(f"receive failed: {error}") from error
-            if not data:
-                self._decoder.eof()
-                raise NetError("connection closed by server")
-            self._pending.extend(self._decoder.feed(data))
-        return self._pending.pop(0)
-
-    async def execute(self, requests: Sequence[Message]) -> list[Message]:
-        """Send a batch of frames in one write; responses in request order."""
-        async with self._lock:
-            try:
-                self._writer.write(b"".join(encode_frame(request) for request in requests))
-                await self._writer.drain()
-            except OSError as error:
-                raise NetError(f"send failed: {error}") from error
-            return [await self._receive() for _ in requests]
-
-    async def _request(self, request: Message, expected: type[Message]) -> Message:
-        return _expect((await self.execute([request]))[0], expected)
-
-    async def ping(self) -> bool:
-        await self._request(PingRequest(), PongResponse)
-        return True
-
-    async def get(self, key: str) -> str | None:
-        response = await self._request(
-            GetRequest(key=_encode_text(key, "key")), ValueResponse
-        )
-        return _decode_optional(response.value)
-
-    async def set(self, key: str, value: str) -> None:
-        await self._request(
-            SetRequest(key=_encode_text(key, "key"), value=_encode_text(value, "value")),
-            OkResponse,
-        )
-
-    async def delete(self, key: str) -> bool:
-        response = await self._request(
-            DeleteRequest(key=_encode_text(key, "key")), CountResponse
-        )
-        return response.count > 0
-
-    async def mget(self, keys: Sequence[str]) -> list[str | None]:
-        if not keys:
-            return []
-        response = await self._request(
-            MGetRequest(keys=tuple(_encode_text(key, "key") for key in keys)),
-            MultiValueResponse,
-        )
-        if len(response.values) != len(keys):
-            raise NetError(
-                f"MGET answered {len(response.values)} values for {len(keys)} keys"
-            )
-        return [_decode_optional(value) for value in response.values]
-
-    async def mset(self, items: Sequence[tuple[str, str]]) -> None:
-        if not items:
-            return
-        await self._request(
-            MSetRequest(
-                items=tuple(
-                    (_encode_text(key, "key"), _encode_text(value, "value"))
-                    for key, value in items
-                )
-            ),
-            OkResponse,
-        )
-
-    async def stats(self) -> dict:
-        response = await self._request(StatsRequest(), StatsResponse)
-        return json.loads(response.payload.decode("utf-8"))
-
-    async def metrics(self) -> str:
-        """Prometheus exposition text over the wire (no HTTP sidecar needed)."""
-        response = await self._request(MetricsRequest(), MetricsResponse)
-        return response.payload.decode("utf-8")
-
-    async def scan(
-        self, start: str | None = None, end: str | None = None, limit: int = 0
-    ) -> AsyncIterator[tuple[str, str]]:
-        """Range scan: ``(key, value)`` pairs in key order (async iterator).
-
-        The chunked MKVALUE stream is drained while the connection lock is
-        held (this client serialises all traffic over one connection), then
-        the pairs are yielded — so a slow consumer cannot stall other
-        coroutines' requests behind a half-read scan.
-        """
-        request = ScanRequest(
-            start=None if start is None else _encode_text(start, "start bound"),
-            end=None if end is None else _encode_text(end, "end bound"),
-            limit=limit,
-        )
-        pairs: list[tuple[bytes, bytes]] = []
-        async with self._lock:
-            try:
-                self._writer.write(encode_frame(request))
-                await self._writer.drain()
-            except OSError as error:
-                raise NetError(f"send failed: {error}") from error
-            while True:
-                response = _expect(await self._receive(), MultiKeyValueResponse)
-                pairs.extend(response.pairs)
-                if response.final:
-                    break
-        for key, value in pairs:
-            yield key.decode("utf-8"), value.decode("utf-8")
-
-    async def pipelined_get(self, keys: Sequence[str], depth: int = 8) -> list[str | None]:
-        """Fetch ``keys`` as pipelined single-GET frames, ``depth`` per round trip."""
-        if depth < 1:
-            raise NetError("pipeline depth must be at least 1")
-        results: list[str | None] = []
-        for start in range(0, len(keys), depth):
-            window = keys[start : start + depth]
-            responses = await self.execute(
-                [GetRequest(key=_encode_text(key, "key")) for key in window]
-            )
-            for response in responses:
-                value = _expect(response, ValueResponse).value
-                results.append(_decode_optional(value))
         return results

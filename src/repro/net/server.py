@@ -557,11 +557,13 @@ class KVServer:
                 frames.append(
                     encode_frame(ErrorResponse(kind="ProtocolError", message=str(failure)))
                 )
-            connection.sendall(b"".join(frames))
         finally:
+            # Before the send: a client that holds its last reply must never
+            # read these requests as still in flight.
             with self._lock:
                 self.inflight -= count
             self._inflight.dec(count)
+        connection.sendall(b"".join(frames))
 
     # ----------------------------------------------------------------- dispatch
 

@@ -13,8 +13,8 @@ Prometheus text rendering and the HTTP sidecar — lives in
   shared :data:`NOOP` instrument whose methods do nothing, so un-instrumented
   benchmarks keep their numbers without ``if metrics:`` branches at call sites
   (``benchmarks/bench_obs.py`` measures the residual overhead);
-* **thread safety everywhere** — instruments are written from connection
-  threads and shard executors; reads (scrapes) take each child's
+* **thread safety everywhere** — instruments are written from every
+  connection thread at once; reads (scrapes) take each child's
   stripe lock only long enough to copy values.
 
 Histograms use **fixed, log-spaced** upper bounds (latency lives on a log

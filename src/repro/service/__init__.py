@@ -10,8 +10,8 @@ compressor, fronted by one façade:
 * :mod:`repro.service.backends` — the shard backend interface and the
   TierBase / LSM implementations (per-shard compressor + drift monitor),
 * :mod:`repro.service.service` — :class:`KVService`: single and batched
-  ``get``/``set``/``delete``/``mget``/``mset`` over single-worker-per-shard
-  executors, with drift-triggered background retraining,
+  ``get``/``set``/``delete``/``mget``/``mset``, each shard's work run under
+  its lock on the calling thread, with drift-triggered background retraining,
 * :mod:`repro.service.cache` — an LRU read cache holding *compressed*
   payloads, decompressed per hit (the per-record random-access advantage),
 * :mod:`repro.service.stats` — latency recorders and snapshot dataclasses.
@@ -54,7 +54,7 @@ from repro.service.stats import (
 #: Wire-layer classes re-exported lazily so ``from repro.service import
 #: KVServer`` works without importing the wire layer on every service use
 #: (and without a circular import: repro.net imports repro.service).
-_NET_EXPORTS = ("KVServer", "ServerConfig", "KVClient", "AsyncKVClient")
+_NET_EXPORTS = ("KVServer", "ServerConfig", "KVClient")
 
 
 def __getattr__(name: str):

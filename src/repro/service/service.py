@@ -5,18 +5,24 @@ worker pools, inverted to the server side:
 
 * every shard owns a **lock** that serialises all mutations and backend reads
   of that shard, so the backends themselves need no internal locks and two
-  operations on the same key cannot interleave.  Single-key operations (and
-  batches that land on one shard) take the lock **inline on the calling
-  thread** — the ``service_inline_dispatch`` row of the frozen-history table
-  in ``docs/BENCHMARKS.md`` records what that saved over the earlier
-  submit-plus-``Future.result()`` handoff to a per-shard worker thread;
-* every shard also keeps a **single-worker executor** for work that fans out
-  across shards (flush, model install, snapshots, scans, multi-shard
-  batches); its tasks take the same shard lock, so queued and inline work
-  stay serialised;
+  operations on the same key cannot interleave.  Every operation takes it
+  **on the calling thread**: the CPU-bound part is pure-Python
+  encode/decode, so under the GIL a hand-off to another thread buys it no
+  parallelism, only the hand-off (the ``service_inline_dispatch`` row of the
+  frozen-history table in ``docs/BENCHMARKS.md`` records what inline
+  dispatch saved);
+* work that fans out across shards (multi-shard batches, flush, model
+  install, snapshots, scans) visits the shards **one at a time in shard
+  order**, each under its own lock.  No caller ever holds two shard locks,
+  so there is no lock order to get wrong.  Every shard's share runs even
+  when an earlier one raised; the first error is re-raised after the last.
+  Blocking I/O is serialised too: with lsm ``sync_mode="fsync"`` a batch
+  touching N shards waits for N WAL fsyncs in a row (``os.fsync`` releases
+  the GIL, so per-shard threads could overlap them; ``docs/BENCHMARKS.md``
+  measures what that costs);
 * batched operations (``mget`` / ``mset``) group their keys by shard with the
-  :class:`~repro.service.router.ShardRouter` and run one task per shard
-  **in parallel across shards** (inline when only one shard is touched);
+  :class:`~repro.service.router.ShardRouter` and run one task per touched
+  shard;
 * the :class:`~repro.service.cache.CompressedLRUCache` is checked on the
   *calling* thread: a hit decompresses the cached payload without touching
   the shard's lock at all, which is where the per-record random-access
@@ -52,7 +58,7 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.exceptions import ModelEpochError, ServiceError
 from repro.service.backends import (
@@ -111,23 +117,19 @@ class ServiceConfig:
 
 
 class _Shard:
-    """One shard: backend + serialising lock + single-worker executor.
+    """One shard: backend + serialising lock.
 
     Every backend access except the pure ``backend.fit`` goes through
-    :meth:`run` (inline, calling thread) or :meth:`defer` (queued on the
-    worker); both hold :attr:`lock`, which is what serialises operations on
-    the shard.  The retraining reservoir lives in the backend's
-    :class:`~repro.codecs.ModelLifecycle` and is only ever touched under the
-    lock.
+    :meth:`run` on the calling thread, which holds :attr:`lock`: that is what
+    serialises operations on the shard.  The retraining reservoir lives in
+    the backend's :class:`~repro.codecs.ModelLifecycle` and is only ever
+    touched under the lock.
     """
 
     def __init__(self, shard_id: int, backend: ShardBackend) -> None:
         self.shard_id = shard_id
         self.backend = backend
         self.lock = threading.Lock()
-        self.executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix=f"kv-shard-{shard_id}"
-        )
         #: the shard's most recent drift retrain on the service's trainer.
         self.last_retrain: Future | None = None
 
@@ -137,13 +139,29 @@ class _Shard:
         return self.last_retrain is not None and not self.last_retrain.done()
 
     def run(self, fn, *args):
-        """Run ``fn`` inline under the shard lock (single-op fast path)."""
+        """Run ``fn`` on the calling thread under the shard lock."""
         with self.lock:
             return fn(*args)
 
-    def defer(self, fn, *args) -> Future:
-        """Queue ``fn`` on the shard worker; it takes the same lock."""
-        return self.executor.submit(self.run, fn, *args)
+
+def _run_each(calls: Iterable[tuple]) -> list:
+    """Run ``(shard, fn, *args)`` calls in order, each via ``shard.run``.
+
+    The fan-out contract: every call runs even if an earlier one raised, and
+    the first error is raised once the last call has returned.
+    """
+    results = []
+    first_error: Exception | None = None
+    for shard, fn, *args in calls:
+        try:
+            results.append(shard.run(fn, *args))
+        except Exception as error:
+            results.append(None)
+            if first_error is None:
+                first_error = error
+    if first_error is not None:
+        raise first_error
+    return results
 
 
 class KVService:
@@ -200,36 +218,30 @@ class KVService:
         return self._closed
 
     def flush(self) -> None:
-        """Persist every shard's durable state (in parallel across shards).
+        """Persist every shard's durable state, one shard after another.
 
-        Runs on the shard executors, serialised with writes: lsm shards take
-        a WAL fsync barrier, directory-backed tierbase shards publish a fresh
-        ``TBS2`` snapshot.  After it returns, every previously acknowledged
-        write survives a process kill (and, for fsynced backends, a machine
-        crash).  A no-op for purely in-memory shards.
+        Each shard flushes under its lock, serialised with its writes: lsm
+        shards take a WAL fsync barrier, directory-backed tierbase shards
+        publish a fresh ``TBS2`` snapshot.  After it returns, every previously
+        acknowledged write survives a process kill (and, for fsynced backends,
+        a machine crash).  A no-op for purely in-memory shards.
         """
         self._require_open()
-        futures = [shard.defer(shard.backend.flush) for shard in self._shards]
-        self._raise_first_error(futures)
+        _run_each((shard, shard.backend.flush) for shard in self._shards)
 
     def close(self) -> None:
         """Cancel queued retrains and join the running one, flush every shard,
-        drain the executors, and close the backends."""
+        and close the backends."""
         if self._closed:
             return
         self._closed = True
         self._trainer.shutdown(wait=True, cancel_futures=True)
-        flush_futures = [shard.defer(shard.backend.flush) for shard in self._shards]
         try:
-            self._raise_first_error(flush_futures)
+            _run_each((shard, shard.backend.flush) for shard in self._shards)
         finally:
-            for shard in self._shards:
-                shard.executor.shutdown(wait=True)
-            for shard in self._shards:
-                # Under the shard lock: an inline op that slipped past the
-                # closed check must not interleave with the backend teardown.
-                with shard.lock:
-                    shard.backend.close()
+            # Under the shard lock: an op that slipped past the closed check
+            # must not interleave with the backend teardown.
+            _run_each((shard, shard.backend.close) for shard in self._shards)
 
     def __enter__(self) -> "KVService":
         return self
@@ -251,11 +263,9 @@ class KVService:
             raise ServiceError("cannot train the service on an empty sample")
         sample = list(sample_values)
         model = self._shards[0].backend.fit(sample)
-        futures = [
-            shard.defer(shard.backend.install, model, len(sample))
-            for shard in self._shards
-        ]
-        self._raise_first_error(futures)
+        _run_each(
+            (shard, shard.backend.install, model, len(sample)) for shard in self._shards
+        )
 
     def wait_for_retrains(self, timeout: float | None = None) -> None:
         """Block until every drift retrain scheduled so far has installed its
@@ -265,15 +275,6 @@ class KVService:
         futures = [s.last_retrain for s in self._shards if s.last_retrain is not None]
         if wait(futures, timeout=timeout).not_done:
             raise ServiceError(f"retraining did not finish within {timeout:g}s")
-        for future in futures:
-            future.result()
-
-    @staticmethod
-    def _raise_first_error(futures: Sequence[Future]) -> None:
-        if len(futures) == 1:
-            futures[0].result()
-            return
-        wait(futures)
         for future in futures:
             future.result()
 
@@ -400,7 +401,7 @@ class KVService:
     # ------------------------------------------------------------- batched ops
 
     def mset(self, items: Sequence[tuple[str, str]]) -> dict[int, int]:
-        """Batched SET: one task per shard, executed in parallel across shards.
+        """Batched SET: one task per touched shard, run in shard order.
 
         Returns ``{shard_id: last_assigned_lsn}`` for every shard the batch
         touched — the per-shard read-your-writes handles (LSNs are per-shard
@@ -412,29 +413,15 @@ class KVService:
         if not items:
             return {}
         started = time.perf_counter()
-        groups = self.router.group_items(items)
-        lsns: dict[int, int] = {}
-        if len(groups) == 1:
-            # One shard touched: run inline, skip the executor handoff.
-            ((shard_id, shard_items),) = groups.items()
-            shard = self._shards[shard_id]
-            lsns[shard_id] = shard.run(self._shard_set, shard, shard_items)
-        else:
-            futures = [
-                (
-                    shard_id,
-                    self._shards[shard_id].defer(
-                        self._shard_set, self._shards[shard_id], shard_items
-                    ),
-                )
-                for shard_id, shard_items in groups.items()
-            ]
-            self._raise_first_error([future for _, future in futures])
-            lsns = {shard_id: future.result() for shard_id, future in futures}
+        groups = sorted(self.router.group_items(items).items())
+        lsns = _run_each(
+            (self._shards[shard_id], self._shard_set, self._shards[shard_id], shard_items)
+            for shard_id, shard_items in groups
+        )
         self._set_latency.record(time.perf_counter() - started, operations=len(items))
         with self._counter_lock:
             self._sets += len(items)
-        return lsns
+        return {shard_id: lsn for (shard_id, _), lsn in zip(groups, lsns)}
 
     def mget(self, keys: Sequence[str]) -> list[str | None]:
         """Batched GET preserving key order; cache hits answered inline.
@@ -466,30 +453,19 @@ class KVService:
                 hits += 1
             if miss_positions:
                 miss_keys = [keys[position] for position in miss_positions]
-                groups = self.router.group_keys(miss_keys)
-                if len(groups) == 1:
-                    # One shard touched: fetch inline, skip the executor.
-                    ((shard_id, local_positions),) = groups.items()
-                    shard = self._shards[shard_id]
-                    shard_keys = [miss_keys[position] for position in local_positions]
-                    fetched = shard.run(self._shard_get, shard, shard_keys)
-                    for local_position, value in zip(local_positions, fetched):
+                groups = sorted(self.router.group_keys(miss_keys).items())
+                fetched = _run_each(
+                    (
+                        self._shards[shard_id],
+                        self._shard_get,
+                        self._shards[shard_id],
+                        [miss_keys[position] for position in local_positions],
+                    )
+                    for shard_id, local_positions in groups
+                )
+                for (_, local_positions), values in zip(groups, fetched):
+                    for local_position, value in zip(local_positions, values):
                         results[miss_positions[local_position]] = value
-                else:
-                    futures: list[tuple[list[int], Future]] = []
-                    for shard_id, local_positions in groups.items():
-                        shard = self._shards[shard_id]
-                        shard_keys = [miss_keys[position] for position in local_positions]
-                        futures.append(
-                            (
-                                [miss_positions[position] for position in local_positions],
-                                shard.defer(self._shard_get, shard, shard_keys),
-                            )
-                        )
-                    self._raise_first_error([future for _, future in futures])
-                    for original_positions, future in futures:
-                        for original_position, value in zip(original_positions, future.result()):
-                            results[original_position] = value
             self._get_latency.record(time.perf_counter() - started, operations=len(keys))
             return results
         finally:
@@ -555,7 +531,7 @@ class KVService:
     def _shard_scan(
         shard: _Shard, start: str | None, end: str | None, limit: int | None
     ) -> list[tuple[str, str]]:
-        # Materialised on the shard worker: the whole scan is serialised with
+        # Materialised under the shard lock: the whole scan is serialised with
         # that shard's writes, so each per-shard slice is a consistent view.
         return list(shard.backend.scan(start, end, limit))
 
@@ -567,8 +543,8 @@ class KVService:
     ) -> list[tuple[str, str]]:
         """Range scan across every shard, merged in key order.
 
-        Fans one bounded scan out per shard (each runs on its shard's worker,
-        serialised with that shard's writes) and k-way-merges the sorted
+        Runs one bounded scan per shard in shard order (each under its shard's
+        lock, serialised with that shard's writes) and k-way-merges the sorted
         per-shard slices.  Shards partition the key space, so the merge never
         sees duplicate keys.  ``start`` is inclusive, ``end`` exclusive;
         ``limit`` bounds both each per-shard scan and the merged result.
@@ -578,12 +554,11 @@ class KVService:
         self._require_open()
         if limit is not None and limit <= 0:
             return []
-        futures = [
-            shard.defer(self._shard_scan, shard, start, end, limit)
-            for shard in self._shards
-        ]
-        self._raise_first_error(futures)
-        merged = heapq.merge(*(future.result() for future in futures))
+        merged = heapq.merge(
+            *_run_each(
+                (shard, self._shard_scan, shard, start, end, limit) for shard in self._shards
+            )
+        )
         if limit is not None:
             return list(itertools.islice(merged, limit))
         return list(merged)
@@ -591,14 +566,11 @@ class KVService:
     # ----------------------------------------------------------------- metrics
 
     def shard_snapshots(self) -> list[ShardSnapshot]:
-        """Per-shard statistics, gathered on each shard's executor."""
+        """Per-shard statistics, gathered under each shard's lock in turn."""
         self._require_open()
-        futures = [
-            shard.defer(shard.backend.snapshot, shard.shard_id)
-            for shard in self._shards
-        ]
-        self._raise_first_error(futures)
-        return [future.result() for future in futures]
+        return _run_each(
+            (shard, shard.backend.snapshot, shard.shard_id) for shard in self._shards
+        )
 
     def snapshot(self) -> ServiceSnapshot:
         """Service-wide statistics: shards, cache counters, latency percentiles.

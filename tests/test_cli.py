@@ -1,8 +1,10 @@
 """Tests for the ``pbc`` command-line interface."""
 
 import os
+import queue
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -344,6 +346,7 @@ class TestServeImports:
     #: prints whatever forbidden module got loaded.
     SCRIPT = """
 import sys
+import threading
 from repro.cli import _build_service, build_parser
 from repro.net import KVClient, KVServer, ServerConfig
 
@@ -385,3 +388,64 @@ print(" ".join(name for name in sys.argv[2:] if name in sys.modules))
             build_parser().parse_args(
                 ["stream", "compress", "--dataset", "kv1", "--output", "x", "--codec", "nope"]
             )
+
+
+class TestServeSigterm:
+    """``kill -TERM`` drains ``repro serve`` like Ctrl-C: the acknowledged
+    write is flushed to the tierbase ``--data-dir`` and survives a restart."""
+
+    ARGV = ["serve", "--port", "0", "--shards", "2", "--backend", "tierbase",
+            "--compressor", "zstd", "--train-count", "64"]
+
+    @staticmethod
+    def start(data_dir: Path) -> tuple[subprocess.Popen, str, int, str]:
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", *TestServeSigterm.ARGV,
+             "--data-dir", str(data_dir)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        lines: queue.Queue = queue.Queue()
+        threading.Thread(target=lambda: lines.put(process.stdout.readline()), daemon=True).start()
+        try:
+            line = lines.get(timeout=120)
+        except queue.Empty:
+            process.kill()
+            pytest.fail(f"no 'serving' line within 120 s: {process.communicate()[1]}")
+        assert line.startswith("serving "), (line, process.stderr.read())
+        host, port = line.rsplit(" ", 1)[1].rsplit(":", 1)
+        return process, host, int(port), line
+
+    @staticmethod
+    def terminate(process: subprocess.Popen) -> str:
+        import signal
+
+        process.send_signal(signal.SIGTERM)
+        stdout, stderr = process.communicate(timeout=60)
+        assert process.returncode == 0, stderr
+        return stdout
+
+    def test_sigterm_drains_and_restart_reads_the_write_back(self, tmp_path):
+        from repro.net import KVClient
+
+        process, host, port, line = self.start(tmp_path)
+        try:
+            assert "fresh" in line
+            with KVClient(host, port, pool_size=1) as client:
+                client.set("durable", "yes")
+            assert "drained: " in self.terminate(process)
+        finally:
+            process.kill()
+            process.wait()
+
+        process, host, port, line = self.start(tmp_path)
+        try:
+            assert "reopened 1 key(s)" in line
+            with KVClient(host, port, pool_size=1) as client:
+                assert client.get("durable") == "yes"
+            assert "drained: " in self.terminate(process)
+        finally:
+            process.kill()
+            process.wait()

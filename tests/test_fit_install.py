@@ -52,7 +52,7 @@ def compressor_of(backend):
 
 def oracle_train(service: KVService, sample) -> None:
     """``KVService.train`` as the parent commit had it: the same sample fitted
-    once per shard (there on the shard executors; the order changes nothing)."""
+    once per shard, each under its shard lock (the order changes nothing)."""
     for shard in service._shards:
         shard.run(shard.backend.train, list(sample))
 

@@ -13,7 +13,6 @@ timeouts) so a regression fails loudly instead of hanging the suite; the CI
 
 from __future__ import annotations
 
-import asyncio
 import random
 import socket
 import threading
@@ -23,7 +22,6 @@ import pytest
 
 from repro.exceptions import NetError, ProtocolError, RemoteError
 from repro.net import (
-    AsyncKVClient,
     GetRequest,
     FrameDecoder,
     KVClient,
@@ -156,23 +154,6 @@ class TestConcurrentClients:
             thread.join(timeout=WAIT)
         with KVClient(host, port, timeout=WAIT) as client:
             assert client.get("shared") in written
-
-    def test_async_client_pipelined_get(self, server):
-        host, port = server.address
-
-        async def main() -> None:
-            async with await AsyncKVClient.connect(host, port) as client:
-                await client.mset([(f"a:{i}", f"v{i}") for i in range(40)])
-                values = await client.pipelined_get(
-                    [f"a:{i}" for i in range(40)], depth=8
-                )
-                assert values == [f"v{i}" for i in range(40)]
-                assert await client.get("a:0") == "v0"
-                assert await client.delete("a:0") is True
-                stats = await client.stats()
-                assert stats["keys"] == 39
-
-        asyncio.run(asyncio.wait_for(main(), timeout=WAIT))
 
 
 # -------------------------------------------------------------- fault injection

@@ -4,7 +4,7 @@ The consistency bar: a wire scan's result is always a key-ordered,
 duplicate-free view with no tombstoned keys and no torn values — even while
 concurrent writers mutate the scanned range, while other clients pipeline
 requests on the same server, and while a drift-triggered retrain swaps the
-compression model mid-scan.  Per-shard scans run on the shard worker (so
+compression model mid-scan.  Per-shard scans run under the shard lock (so
 each shard contributes a consistent slice); the key set is held constant
 under update-only write fire, so full-range scans must see exactly the
 preloaded key population every time.

@@ -1,7 +1,7 @@
 """Concurrency soak tests for :class:`~repro.service.KVService` internals.
 
 The PR 2–3 coverage gap named by the ISSUE: the compressed LRU cache is
-invalidated inside each shard's single-worker executor, which is what makes
+invalidated under each shard's lock, inside the write, which is what makes
 "delete wins" safe — a reader racing a delete may see the old value *while
 the delete is in flight*, but once a delete has returned, no later read may
 resurrect the deleted key from the cache (the cache fill happens inside the

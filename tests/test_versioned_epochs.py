@@ -321,7 +321,7 @@ class TestServiceEpochs:
                 service.get(f"k:{index}")  # fill the cache with epoch-1 payloads
             for shard in service._shards:
                 for sample in (drifted_values(), values[64:128]):
-                    shard.executor.submit(shard.backend.retrain, sample).result()
+                    shard.run(shard.backend.retrain, sample)
             # The cache was NOT cleared by the retrains…
             assert len(service.cache) == 40
             before_hits = service.cache.stats().hits
@@ -340,7 +340,7 @@ class TestServiceEpochs:
             service.set("k", values[0])
             stale = service._shards[0].backend.get_compressed("k")
             shard = service._shards[0]
-            shard.executor.submit(shard.backend.retrain, drifted_values()).result()
+            shard.run(shard.backend.retrain, drifted_values())
             service.set("k", values[1])  # releases + prunes the epoch-1 model
             with pytest.raises(ModelEpochError):
                 shard.backend.decompress(stale)
@@ -360,7 +360,7 @@ class TestServiceEpochs:
             service.mset([(f"x:{index}", value) for index, value in enumerate(values[:60])])
             for shard in service._shards:
                 for sample in (drifted_values(), values[64:128]):
-                    shard.executor.submit(shard.backend.retrain, sample).result()
+                    shard.run(shard.backend.retrain, sample)
             results = service.mget([f"x:{index}" for index in range(60)])
             assert results == values[:60]
 
